@@ -4,11 +4,11 @@ Scenario, end to end through the real CLI:
 
 1. Run an *uninterrupted* ``repro run`` as the reference table.
 2. Start the same run (same seed) against a fresh store with a 2-worker
-   process-mode sweep, wait until the ledger shows a few completed
+   thread-mode sweep, wait until the ledger shows a few completed
    evaluations, and SIGKILL the whole process group mid-sweep.
 3. ``repro resume`` the killed run.
 4. Repeat the kill+resume against a *sharded* run (``--shard-size``, ≥4
-   shards per cell, (variant × shard) process scheduling), killing as soon
+   shards per cell, 2 sweep threads), killing as soon
    as a few per-**shard** ledger entries exist — i.e. mid-dataset, inside
    a cell.
 5. Fault-tolerant shared mode: ``repro run --prepare-only`` the same
@@ -138,7 +138,7 @@ def main() -> int:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", *ARGS,
          "--store", str(tmp / "crash"), "--run-id", "crash",
-         "--workers", "2", "--mode", "process"],
+         "--workers", "2", "--mode", "thread"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)          # own group: kill workers too
     deadline = time.time() + TIMEOUT_S
@@ -189,7 +189,7 @@ def main() -> int:
         f"batch-4 reference run failed:\n{ref4.stdout}\n{ref4.stderr}"
     ref4_table = table_body(ref4.stdout)
     shard_args = [*ARGS, "--batch-size", "4", "--shard-size", "4",
-                  "--workers", "2", "--mode", "process"]
+                  "--workers", "2", "--mode", "thread"]
     ledger = tmp / "shard" / "shard" / "ledger.jsonl"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", *shard_args,
@@ -316,7 +316,7 @@ def main() -> int:
     ledger = tmp / "mit" / "mit" / "ledger.jsonl"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", *mit_args,
-         "--shard-size", "4", "--workers", "2", "--mode", "process",
+         "--shard-size", "4", "--workers", "2", "--mode", "thread",
          "--store", str(tmp / "mit"), "--run-id", "mit"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)

@@ -24,8 +24,6 @@ import numpy as np
 
 from repro.nn.functional import im2col, pad2d_const, pool_output_size
 
-from . import parallel as _par
-
 __all__ = [
     "matmul_accum", "conv2d", "linear", "qconv2d", "qlinear", "requantize",
     "requant_scale",
@@ -40,84 +38,6 @@ __all__ = [
 # Matmul with controllable accumulation order
 # ---------------------------------------------------------------------------
 
-def _even_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    step = -(-n // parts)
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-def _matmul_flops(a: np.ndarray, b: np.ndarray) -> int:
-    """Rough multiply-add count of ``a @ b`` (broadcast-aware)."""
-    try:
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        return 0
-    batch = 1
-    for d in lead:
-        batch *= d
-    return 2 * batch * a.shape[-2] * a.shape[-1] * b.shape[-1]
-
-
-def _stacked_matmul(a: np.ndarray, b: np.ndarray, dtype,
-                    workers: int) -> np.ndarray | None:
-    """Fused matmul split over the leading stacked axis, or None.
-
-    NumPy evaluates a stacked matmul as one independent GEMM per leading
-    slice, so computing contiguous slice ranges on worker threads and
-    concatenating in order reproduces the serial result bit for bit (each
-    slice is the *same* GEMM call either way).  2-D problems have no such
-    axis — splitting rows/columns of a single GEMM changes BLAS blocking
-    and therefore low bits — so they stay serial and the batch dimension
-    carries all the parallelism.
-    """
-    nd = max(a.ndim, b.ndim)
-    if nd < 3:
-        return None
-    lead = a.shape[0] if a.ndim == nd else 1
-    if b.ndim == nd:
-        lead = max(lead, b.shape[0])
-    if lead < 2:
-        return None
-    slice_a = a.ndim == nd and a.shape[0] == lead
-    slice_b = b.ndim == nd and b.shape[0] == lead
-
-    def piece(bounds):
-        lo, hi = bounds
-        ai = a[lo:hi] if slice_a else a
-        bi = b[lo:hi] if slice_b else b
-        return (ai @ bi).astype(dtype, copy=False)
-
-    parts = _par.parallel_map(piece, _even_bounds(lead, min(workers, lead)),
-                              workers=workers, tag="gemm-stack")
-    return np.concatenate(parts, axis=0)
-
-
-def _slab_matmul(a: np.ndarray, b: np.ndarray, dtype, accum_chunk: int,
-                 workers: int) -> np.ndarray:
-    """Tiled accumulation with slab partials computed on worker threads.
-
-    Partials are computed concurrently in waves but *reduced strictly in
-    slab order* — the identical sequence of adds the serial loop performs,
-    so the result is bit-identical at any thread count.  Waves bound peak
-    memory at O(workers) partials instead of O(K / accum_chunk).
-    """
-    k = a.shape[-1]
-    starts = list(range(0, k, accum_chunk))
-    wave = max(workers, 2)
-
-    def slab(start):
-        sl = slice(start, start + accum_chunk)
-        return (a[..., sl] @ b[..., sl, :]).astype(dtype, copy=False)
-
-    out = None
-    for i in range(0, len(starts), wave):
-        parts = _par.parallel_map(slab, starts[i:i + wave], workers=workers,
-                                  tag="gemm-slab")
-        for part in parts:
-            out = part if out is None else (out + part).astype(dtype,
-                                                               copy=False)
-    return out
-
-
 def matmul_accum(a: np.ndarray, b: np.ndarray, dtype=np.float64,
                  accum_chunk: int | None = None) -> np.ndarray:
     """``a @ b`` in ``dtype`` with optional tiled accumulation.
@@ -126,28 +46,12 @@ def matmul_accum(a: np.ndarray, b: np.ndarray, dtype=np.float64,
     size, partial products over the contraction axis are summed slab by slab
     in ``dtype`` — the rounding order a tiled GEMM (or a systolic accelerator
     with a small accumulator) produces.
-
-    Large problems are threaded over the shared intra-op pool
-    (:mod:`repro.backend.parallel`): stacked fused matmuls split their
-    leading batch axis, tiled matmuls compute slab partials concurrently
-    and reduce them in slab order.  Both fan-outs are bit-identical to the
-    serial path at every thread count — see docs/performance.md.
     """
     a = a.astype(dtype, copy=False)
     b = b.astype(dtype, copy=False)
     k = a.shape[-1]
-    workers = 1
-    if a.ndim >= 2 and b.ndim >= 2 \
-            and _matmul_flops(a, b) >= _par.TILE_MIN_WORK:
-        workers = _par.num_threads()
     if accum_chunk is None or accum_chunk >= k:
-        if workers > 1:
-            out = _stacked_matmul(a, b, dtype, workers)
-            if out is not None:
-                return out
         return (a @ b).astype(dtype, copy=False)
-    if workers > 1:
-        return _slab_matmul(a, b, dtype, accum_chunk, workers)
     out = None
     for start in range(0, k, accum_chunk):
         sl = slice(start, start + accum_chunk)

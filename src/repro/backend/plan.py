@@ -694,38 +694,27 @@ class ExecutionPlan:
     __call__ = run
 
     def run_instrumented(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """:meth:`run` with per-step wall time and intra-op tiling stats.
+        """:meth:`run` with per-step wall time.
 
         Returns ``(output, records)`` where each record is one step's
-        ``{"name", "op", "time_s", "tiles", "workers"}`` — ``tiles`` and
-        ``workers`` aggregated from every :func:`~repro.backend.parallel.
-        parallel_map` call the step's kernel made (0/1 when the kernel never
-        reached the pool, including serial degradation on 1-core hosts).
-        Steps are one-to-one with ``graph.nodes``, so records line up with
-        static profiles.  The instrumented pass computes exactly what
-        :meth:`run` computes — stats collection adds list appends, nothing
-        that perturbs kernel arithmetic.
+        ``{"name", "op", "time_s"}``.  Steps are one-to-one with
+        ``graph.nodes``, so records line up with static profiles.  The
+        instrumented pass computes exactly what :meth:`run` computes —
+        timing adds clock reads, nothing that perturbs kernel arithmetic.
         """
-        from . import parallel
         records = []
         env: list = [None] * self.n_slots
         env[self._input_slot] = self._cast_input(x)
         for (fn, srcs, dst, releases), node in zip(self._steps,
                                                    self.graph.nodes):
-            sink: list = []
             start = time.perf_counter()
-            with parallel.collect_stats(sink):
-                value = fn(*[env[s] for s in srcs])
+            value = fn(*[env[s] for s in srcs])
             elapsed = time.perf_counter() - start
             env[dst] = value
             for s in releases:
                 env[s] = None
-            records.append({
-                "name": node.name or node.output, "op": node.op,
-                "time_s": elapsed,
-                "tiles": sum(rec["tiles"] for rec in sink),
-                "workers": max((rec["workers"] for rec in sink), default=1),
-            })
+            records.append({"name": node.name or node.output,
+                            "op": node.op, "time_s": elapsed})
         return env[self._output_slot], records
 
     def run_batch(self, batches) -> np.ndarray:

@@ -44,10 +44,6 @@ class GraphProfile:
     wall_time_s: float | None = None
     batch: int | None = None
     compiled: bool = False          # wall time measured on an ExecutionPlan
-    #: Per-node intra-op parallelism records (compiled timing only): each is
-    #: ``{"name", "op", "time_s", "tiles", "workers"}`` from
-    #: :meth:`~repro.backend.plan.ExecutionPlan.run_instrumented`.
-    intra_op: list | None = None
 
     @property
     def total_flops(self) -> int:
@@ -161,11 +157,6 @@ def profile_graph(graph: Graph, input_shape: tuple = (None, 3, 32, 32), *,
             best = min(best, time.perf_counter() - start)
         profile.wall_time_s = best
         profile.batch = len(x)
-        if compiled:
-            # One extra instrumented pass (outside the min-of-N timing):
-            # per-node wall time plus how the intra-op pool tiled each
-            # kernel — see render_profile's utilization report.
-            _, profile.intra_op = plan.run_instrumented(x)
     return profile
 
 
@@ -184,22 +175,4 @@ def render_profile(profile: GraphProfile, top: int = 8) -> str:
     for op in profile.heaviest(top):
         lines.append(f"{op.name:<32} {op.op:<14} {op.flops:>12d} "
                      f"{op.params:>8d} {100 * op.flops / total:>7.1f}%")
-    if profile.intra_op:
-        from .parallel import num_threads
-        width = num_threads()
-        threaded = [r for r in profile.intra_op if r["workers"] > 1]
-        busy = sum(r["time_s"] for r in threaded)
-        wall = sum(r["time_s"] for r in profile.intra_op) or 1.0
-        lines.append("")
-        lines.append(f"intra-op parallelism: pool width {width}, "
-                     f"{len(threaded)}/{len(profile.intra_op)} nodes "
-                     f"threaded ({100 * busy / wall:.0f}% of step time)")
-        lines.append(f"{'layer':<32} {'op':<14} {'ms':>8} {'tiles':>6} "
-                     f"{'workers':>8}")
-        heaviest = sorted(profile.intra_op, key=lambda r: r["time_s"],
-                          reverse=True)[:top]
-        for r in heaviest:
-            lines.append(f"{r['name']:<32} {r['op']:<14} "
-                         f"{r['time_s'] * 1e3:>8.2f} {r['tiles']:>6d} "
-                         f"{r['workers']:>8d}")
     return "\n".join(lines)

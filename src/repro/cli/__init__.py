@@ -36,7 +36,7 @@ without writing Python:
 ``export``         Lower a model to the deployment graph (.npz); supports
                    ``--optimize`` (compiler passes) and ``--int8`` (QDQ).
 ``profile``        Per-op FLOPs/params/shape report, optional wall time;
-                   ``--compiled`` adds per-node intra-op thread utilisation.
+                   ``--compiled`` times the compiled execution plan.
 ``plan``           Serialized compiled plans (export once, deploy many):
                    ``plan save`` compiles a model and writes the versioned,
                    checksummed ``plan.npz`` artefact; ``plan info`` prints

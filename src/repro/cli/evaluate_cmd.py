@@ -55,17 +55,12 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    help="fan variant evaluations out over this many workers "
                         "(capped at the cores available to the process; "
                         "default: serial)")
-    p.add_argument("--mode", choices=("thread", "process"), default="thread",
-                   help="worker pool flavour: threads share the session "
-                        "caches; processes sidestep the GIL and share the "
-                        "decoded dataset via POSIX shared memory")
     p.add_argument("--batch-size", type=int, default=None,
                    help="evaluation minibatch size (default: adapter choice)")
     p.add_argument("--shard-size", type=int, default=None,
                    help="stream evaluations in shards of this many items "
-                        "(bounded peak memory, (variant x shard) process "
-                        "scheduling, shard-granular ledger resume; "
-                        "default: monolithic)")
+                        "(bounded peak memory, shard-granular ledger "
+                        "resume; default: monolithic)")
 
 
 def build_session(args: argparse.Namespace):
@@ -76,7 +71,7 @@ def build_session(args: argparse.Namespace):
     return (BenchmarkSession()
             .task("cls")
             .seed(args.seed)
-            .workers(args.workers, mode=getattr(args, "mode", "thread"))
+            .workers(args.workers)
             .batch(args.batch_size)
             .shards(getattr(args, "shard_size", None))
             .model(args.model)

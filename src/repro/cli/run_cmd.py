@@ -19,6 +19,11 @@ __all__ = ["register"]
 
 _DATA_DEFAULTS = dict(native_size=48, input_size=32)
 
+_MODES = ("thread", "shared")
+_MODE_HELP = ("execution mode: 'thread' fans --workers threads over this "
+              "process; 'shared' divides cells with `repro worker` "
+              "processes on the same run directory via leases")
+
 _MITIGATE_HELP = ("mitigation to sweep alongside the clean row, e.g. "
                   "`tent`, `tent:steps=2,lr=0.01`, `augment:augmix`, "
                   "`mix` (repeatable; see `repro mitigations`)")
@@ -106,6 +111,8 @@ def register(sub: argparse._SubParsersAction) -> None:
                         "every joining worker loads it instead of "
                         "recompiling (run identity — resume inherits it)")
     _add_engine_args(p)
+    p.add_argument("--mode", choices=_MODES, default="thread",
+                   help=_MODE_HELP)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("resume",
@@ -118,9 +125,8 @@ def register(sub: argparse._SubParsersAction) -> None:
                    help="override the recorded retry budget")
     p.add_argument("--workers", type=int, default=None,
                    help="override the recorded worker count")
-    p.add_argument("--mode", choices=("thread", "process", "shared"),
-                   default=None,
-                   help="override the recorded worker pool flavour")
+    p.add_argument("--mode", choices=_MODES, default=None,
+                   help="override the recorded execution mode")
     p.add_argument("--mitigate", action="append", default=None,
                    metavar="NAME[:K=V,...]",
                    help="must match the run's recorded mitigations exactly "
@@ -172,10 +178,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         session = _build_stored_session(
             args.model, args.seed, data_kw, args.workers,
-            getattr(args, "mode", "thread"), args.batch_size, args.retries,
+            args.mode, args.batch_size, args.retries,
             getattr(args, "shard_size", None),
             inference=getattr(args, "inference", "module"))
-    except ValueError as exc:                # e.g. plan + process pool
+    except ValueError as exc:                # e.g. plan + a non-cls task
         print(f"error: {exc}")
         return 2
     session.noises(*noises).combined(not args.no_combined)
@@ -187,7 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                   cli={"model": args.model, "data": data_kw,
                        "fit": {"epochs": args.epochs},
                        "workers": args.workers,
-                       "mode": getattr(args, "mode", "thread"),
+                       "mode": args.mode,
                        "batch_size": args.batch_size,
                        "shard_size": getattr(args, "shard_size", None),
                        "retries": args.retries,
@@ -232,6 +238,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
         return 2
     workers = args.workers if args.workers is not None else cli.get("workers")
     mode = args.mode or cli.get("mode", "thread")
+    if mode == "process":
+        # Recorded before the sweep process pool was removed.  Mode is not
+        # run identity and its tables were byte-identical to thread mode's.
+        mode = "thread"
     retries = (args.retries if args.retries is not None
                else cli.get("retries", 0))
     # Shard geometry is resume identity: per-shard ledger entries only

@@ -51,8 +51,7 @@ from .runstore import (RunLedger, RunStore, config_digest, expected_cells,
 from .session import (BenchmarkSession, NoiseResult, Session, SessionResult,
                       noise_row, sweep_noise, worst_case_curve)
 from .sweep import SweepCancelled, SweepEngine
-from .tasks import (NLPDataset, TaskAdapter, evaluate_for_task,
-                    evaluate_partial_for_task, get_task, register_task,
+from .tasks import (NLPDataset, TaskAdapter, get_task, register_task,
                     task_names, unregister_task)
 from .training import (default_train_config, train_classification_model,
                        train_detection_model, train_segmentation_model)
@@ -68,8 +67,7 @@ __all__ = [
     "noises_for_task", "worst_case_stack",
     # task registry
     "TaskAdapter", "register_task", "unregister_task", "get_task",
-    "task_names", "evaluate_for_task", "evaluate_partial_for_task",
-    "NLPDataset",
+    "task_names", "NLPDataset",
     # mitigation registry
     "MitigationSpec", "register_mitigation", "unregister_mitigation",
     "temporary_mitigation", "get_mitigation", "mitigation_names",

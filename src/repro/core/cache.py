@@ -283,7 +283,7 @@ class EvalCache(_LruCache):
             return None
 
     def put(self, key, value) -> None:
-        """Store an externally computed metric (e.g. from a worker process)."""
+        """Store a metric computed elsewhere (e.g. read from the ledger)."""
         try:
             self._put(key, value)
         except TypeError:

@@ -22,8 +22,8 @@ formula would have built:
   order-sensitive in the last ULP).
 
 Accumulators serialise to JSON-safe ``state()`` dicts and rebuild via
-``load_state`` — that is how a worker process ships a shard's partial
-result to the parent and how the run ledger persists per-shard progress.
+``load_state`` — that is how the run ledger persists per-shard progress
+and how shared-mode workers hand a shard's partial result to the merger.
 Python's JSON round-trips floats through ``repr`` (shortest-round-trip), so
 a state that travelled through the ledger merges to the same bits as one
 that never left memory.  :func:`accumulator_from_state` rebuilds the right

@@ -46,14 +46,10 @@ from .noise import NoiseConfig, TRAIN_CONFIG
 
 __all__ = ["decode_dataset", "decode_shards", "preprocess",
            "preprocess_dataset", "preprocess_shards", "apply_model_noise",
-           "deployment_model", "normalize", "default_decode_cache"]
+           "deployment_model", "normalize"]
 
 #: Shared fallback cache for the module-level helpers (sessions own theirs).
 _DEFAULT_CACHE = DecodeCache()
-
-
-def default_decode_cache() -> DecodeCache:
-    return _DEFAULT_CACHE
 
 
 def _decode_uncached(streams: list, decoder: str) -> np.ndarray:

@@ -23,8 +23,8 @@ dataset never re-decode *or* re-evaluate — and never suffer the
 to fan variant evaluations out over a thread pool,
 :meth:`BenchmarkSession.batch` to control evaluation minibatch size,
 :meth:`BenchmarkSession.shards` to stream every evaluation through the
-shard pipeline (bounded peak memory, ``(variant × shard)`` process
-scheduling, shard-granular ledger resume — bit-identical results),
+shard pipeline (bounded peak memory, shard-granular ledger resume —
+bit-identical results),
 :meth:`BenchmarkSession.retries` to set the per-cell failure retry budget,
 and :meth:`BenchmarkSession.store` to attach a crash-safe
 :class:`~repro.core.runstore.RunStore` ledger (interrupted runs resume by
@@ -244,14 +244,11 @@ class BenchmarkSession:
         """Fan variant evaluations out over ``n`` workers (None = serial).
 
         ``mode="thread"`` shares this session's caches across a thread
-        pool; ``mode="process"`` sidesteps the GIL entirely — variant
-        evaluations run in worker processes that receive the model/dataset
-        once and the decoded clean pixel batch through POSIX shared memory.
-        ``mode="shared"`` coordinates with *other processes* sharing this
-        session's run directory (``repro worker``) via lease files instead
-        of owning a pool — ``n`` is ignored there.  Parallel, shared, and
-        serial sweeps return identical results; the modes only change
-        wall-time and fault tolerance.
+        pool.  ``mode="shared"`` coordinates with *other processes* sharing
+        this session's run directory (``repro worker``) via lease files
+        instead of owning a pool — ``n`` is ignored there.  Parallel,
+        shared, and serial sweeps return identical results; the modes only
+        change wall-time and fault tolerance.
         """
         self._workers = n
         self._mode = mode
@@ -280,9 +277,9 @@ class BenchmarkSession:
 
         With a shard size, every evaluation decodes and pre-processes the
         dataset in shard-sized chunks (peak memory bounded by one shard, not
-        the dataset), process-mode sweeps schedule ``(variant × shard)``
-        work items whose partial metric accumulators merge in the parent,
-        and — with a :meth:`store` attached — the ledger records per-shard
+        the dataset), shared-mode workers claim ``(variant × shard)`` work
+        items whose partial metric accumulators merge order-free, and —
+        with a :meth:`store` attached — the ledger records per-shard
         entries so a crash mid-dataset resumes at shard granularity.
         Results are bit-identical to the monolithic path: inference
         minibatches stay cut at global offsets and INT8 calibration pins to
@@ -319,11 +316,6 @@ class BenchmarkSession:
                 raise ValueError(f"inference='plan' cannot combine with "
                                  f"test-time mitigation(s) {bad}: their "
                                  f"streaming hooks own the predict path")
-            if self._mode == "process":
-                raise ValueError("inference='plan' cannot use the process "
-                                 "pool: compiled plans hold bound kernels "
-                                 "that do not pickle (use mode='thread' or "
-                                 "'shared')")
         self._inference = mode
         return self
 
@@ -738,16 +730,6 @@ class BenchmarkSession:
         # their rows evaluate through the plain path.
         test_mit = (mitigation if mitigation is not None
                     and mitigation_stage(mitigation) == "test" else None)
-        if self._mode == "process":
-            # Process workers cannot share the session's lock-bearing
-            # caches; ship a picklable adapter-registry entry point instead
-            # (each worker keeps a process-local decode cache).
-            import functools
-
-            from .tasks import evaluate_for_task
-            return functools.partial(evaluate_for_task, self._task_name,
-                                     batch_size=self._batch_size,
-                                     mitigation=test_mit)
         if self._inference == "plan" and test_mit is None:
             predictor = self._ensure_plan_predictor()
 

@@ -1,24 +1,19 @@
-"""The parallel sweep engine: fan noise variants out, share every baseline.
+"""The sweep engine: fan noise variants out, share every baseline.
 
 A SysNoise sweep is embarrassingly parallel — every deployment variant is an
-independent evaluation of the same trained model on the same dataset — yet
-the seed implementation ran them strictly serially and re-evaluated the
-clean baseline for every table row.  :class:`SweepEngine` fixes both:
+independent evaluation of the same trained model on the same dataset.
+:class:`SweepEngine` evaluates those cells once each and assembles them into
+rows in variant order, so every execution mode renders the same table:
 
-* **Fan-out** — variant evaluations are dispatched over a
-  ``concurrent.futures.ThreadPoolExecutor`` when ``workers`` is set (the
-  heavy work is NumPy, which releases the GIL for its inner loops), or —
-  with ``mode="process"`` — over a ``ProcessPoolExecutor`` that sidesteps
-  the GIL entirely: workers receive the ``(evaluate, model, dataset)``
-  payload once via the pool initializer and the decoded clean pixel batch
-  through POSIX shared memory, so neither the dataset nor its baseline
-  decode is copied or replayed per worker.  The requested width is capped
-  at the cores *available to the process* (affinity/cgroup aware, see
-  :func:`available_cores`) and the effective width is logged.  The default
-  ``workers=None`` keeps the exact serial order, so determinism-sensitive
-  callers see no change.  Results are always assembled in variant order
-  regardless of completion order, so parallel, process-parallel, and
-  serial sweeps produce identical output.
+* **Execution modes** — the default ``workers=None`` runs cells serially in
+  order.  ``mode="thread"`` with ``workers=n`` fans them over a
+  ``concurrent.futures.ThreadPoolExecutor`` (the heavy work is NumPy, which
+  releases the GIL for its inner loops); the requested width is capped at
+  the cores *available to the process* (affinity/cgroup aware, see
+  :func:`available_cores`).  ``mode="shared"`` divides cells among the
+  processes sharing one run directory through filesystem leases (see
+  :mod:`repro.core.workqueue` and ``repro worker``).  Results are always
+  assembled in variant order regardless of completion order.
 
 * **Shared baselines** — every metric is memoised in a
   :class:`~repro.core.cache.EvalCache` keyed per
@@ -27,12 +22,12 @@ clean baseline for every table row.  :class:`SweepEngine` fixes both:
   ``sweep_noise``, every ``noise_row``, and ``worst_case_curve`` instead of
   being recomputed per row.
 
-* **Fault isolation** — a raising ``evaluate()`` (or a crashed process-pool
-  worker) no longer aborts the sweep: the failing cell is retried up to the
-  engine's ``retries`` budget, then recorded as a *structured failure* (a
-  ``NaN`` value plus the exception text in :attr:`NoiseResult.errors`) while
-  every surviving variant still lands in the row.  Failed cells render as
-  ``!`` in :mod:`repro.core.report`.
+* **Fault isolation** — a raising ``evaluate()`` does not abort the sweep:
+  the failing cell is retried up to the engine's ``retries`` budget, then
+  recorded as a *structured failure* (a ``NaN`` value plus the exception
+  text in :attr:`NoiseResult.errors`) while every surviving variant still
+  lands in the row.  Failed cells render as ``!`` in
+  :mod:`repro.core.report`.
 
 * **Crash-safe persistence** — attach a
   :class:`~repro.core.runstore.RunLedger` and every completed evaluation is
@@ -43,9 +38,9 @@ clean baseline for every table row.  :class:`SweepEngine` fixes both:
 * **Shard granularity** — construct the engine with ``shard_size`` (plus
   the ``task`` name) and every cell streams through the task adapter's
   shard pipeline: peak memory is bounded by one shard instead of the
-  dataset, process mode schedules ``(variant × shard)`` work items whose
-  partial :class:`~repro.core.metrics.MetricAccumulator` states merge in
-  the parent, and the ledger records per-*shard* entries so a crash
+  dataset, shared workers claim ``(variant × shard)`` work items whose
+  partial :class:`~repro.core.metrics.MetricAccumulator` states merge
+  order-free, and the ledger records per-*shard* entries so a crash
   mid-dataset resumes at shard granularity.  Shard bounds are aligned to
   the adapter's inference minibatch size, which is what keeps sharded
   results bit-identical to the monolithic path (see
@@ -62,15 +57,13 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import EvalCache, dataset_token, eval_key, streams_digest
+from .cache import EvalCache, dataset_token, eval_key
 from .faults import fault_point
 from .noise import NoiseConfig, TRAIN_CONFIG
 from .registry import combined_config, get_noise, worst_case_stack
@@ -85,7 +78,7 @@ class SweepCancelled(RuntimeError):
     """Raised between cells when the engine's ``should_stop`` hook fires.
 
     Cancellation is *cooperative and cell-granular*: the check runs before
-    each evaluation (and before each process round), never inside one, so
+    each evaluation (and each shared-mode poll), never inside one, so
     every entry already in the run ledger is complete and the interrupted
     run resumes exactly like a crashed one — via ledger replay.  This is
     what lets a serving layer cancel a queued-behind job or drain on
@@ -170,9 +163,9 @@ class SweepEngine:
     functions.  The engine never mutates the model: evaluators already work
     on deployment copies, so concurrent variants are independent.
 
-    ``retries`` is the per-cell retry budget: a raising evaluation (or a
-    crashed process-pool batch) is re-attempted that many extra times before
-    being recorded as a structured failure.  ``ledger`` (a
+    ``retries`` is the per-cell retry budget: a raising evaluation is
+    re-attempted that many extra times before being recorded as a
+    structured failure.  ``ledger`` (a
     :class:`~repro.core.runstore.RunLedger`) makes the engine crash-safe:
     completed cells are appended to the on-disk ledger as they finish and
     skipped on re-runs; ``model_key`` is the stable model identity used in
@@ -182,10 +175,10 @@ class SweepEngine:
     shardable datasets are evaluated through the *task adapter's* streaming
     protocol (``evaluate_partials``, honouring ``batch_size`` and
     ``pipeline_cache``) — the caller-supplied ``evaluate`` callable is kept
-    only for unshardable datasets and thread-fallback paths.  Custom
-    evaluation logic baked into the callable (wrapper metrics, non-default
-    adapter kwargs such as a detection score threshold) does not reach the
-    sharded path; drive such evaluations with ``shard_size=None``.
+    only for unshardable datasets.  Custom evaluation logic baked into the
+    callable (wrapper metrics, non-default adapter kwargs such as a
+    detection score threshold) does not reach the sharded path; drive such
+    evaluations with ``shard_size=None``.
     """
 
     def __init__(self, workers: int | None = None,
@@ -197,24 +190,19 @@ class SweepEngine:
                  should_stop=None, lease_ttl: float = 30.0,
                  max_claims: int = 3, mitigation: dict | None = None,
                  inference: str = "module", plan_predictor=None):
-        if mode not in ("thread", "process", "shared"):
-            raise ValueError(f"mode must be 'thread', 'process' or "
-                             f"'shared', got {mode!r}")
+        if mode not in ("thread", "shared"):
+            raise ValueError(f"mode must be 'thread' or 'shared' (multiple "
+                             f"processes: 'shared' with `repro worker`), "
+                             f"got {mode!r}")
         from .planner import INFERENCE_MODES
         if inference not in INFERENCE_MODES:
             raise ValueError(f"inference must be one of "
                              f"{list(INFERENCE_MODES)}, got {inference!r}")
-        if inference == "plan":
-            if mode == "process":
-                raise ValueError(
-                    "inference='plan' cannot run with mode='process': "
-                    "compiled plans hold bound kernels that do not pickle "
-                    "into worker processes; use thread or shared mode")
-            if task not in (None, "cls"):
-                raise ValueError(
-                    f"inference='plan' is only wired for task 'cls' today "
-                    f"(got task={task!r}): other adapters' streaming "
-                    f"protocols have no predict hook yet")
+        if inference == "plan" and task not in (None, "cls"):
+            raise ValueError(
+                f"inference='plan' is only wired for task 'cls' today "
+                f"(got task={task!r}): other adapters' streaming "
+                f"protocols have no predict hook yet")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if shard_size is not None and shard_size < 1:
@@ -230,8 +218,8 @@ class SweepEngine:
         self.model_key = model_key
         #: Shard streaming: with ``shard_size`` and a registered ``task``,
         #: cells evaluate through the adapter's shard pipeline (bounded
-        #: memory, per-shard ledger entries, (variant × shard) process
-        #: scheduling).  ``pipeline_cache`` memoises the calibration slice
+        #: memory, per-shard ledger entries, (variant × shard) shared-mode
+        #: claims).  ``pipeline_cache`` memoises the calibration slice
         #: and deployment-model copies — data chunks are never cached.
         self.shard_size = shard_size
         self.task = task
@@ -438,7 +426,7 @@ class SweepEngine:
 
         Test-time mitigations adapt per inference batch and batches are cut
         at global offsets, so the results are identical for any shard split
-        at fixed batch geometry — serial, process and shared sweeps of the
+        at fixed batch geometry — serial, thread and shared sweeps of the
         same mitigated cell stay bit-identical.
         """
         if self._test_mitigation is not None:
@@ -588,14 +576,6 @@ class SweepEngine:
         names = noise_names or [None] * len(cfgs)
         if self.mode == "shared":
             out = self._shared_map(evaluate, model, ds, cfgs, names)
-            if out is not None:
-                return out
-        if self.mode == "process" and self.effective_workers > 1:
-            plan = self._shard_plan(ds)
-            out = (self._process_map_sharded(plan, evaluate, model, ds,
-                                             cfgs, names)
-                   if plan is not None and len(plan[1]) > 1
-                   else self._process_map(evaluate, model, ds, cfgs, names))
             if out is not None:
                 return out
         results = self.map(
@@ -844,318 +824,6 @@ class SweepEngine:
         self._ledger_record(lkey, status="error", error=msg, noise=noise,
                             label=cfg.describe(), attempts=prior)
 
-    # -- process fan-out ----------------------------------------------------
-
-    def _process_map(self, evaluate, model, ds, cfgs: list[NoiseConfig],
-                     noise_names: list[str | None],
-                     ) -> tuple[list[float], dict[int, str]] | None:
-        """Fan config evaluations out over a process pool, fault-isolated.
-
-        Workers receive ``(evaluate, model, ds)`` once, via the pool
-        initializer, and the decoded clean-config pixel batch through POSIX
-        shared memory (each worker's decode cache is pre-seeded with a
-        zero-copy view), so neither the dataset nor its decode is replayed
-        per job.  Results land in the parent's :class:`EvalCache` (and the
-        run ledger, when attached) under the same keys the serial path uses,
-        and are returned in ``cfgs`` order.
-
-        A job that raises in its worker — or dies with it (``SIGKILL``,
-        OOM) — does not abort the batch: the surviving futures are drained,
-        the failed jobs are resubmitted to a *fresh* pool up to the retry
-        budget, and whatever still fails is returned as a structured
-        failure.  Only the ledger-recorded cells of a crashed batch need
-        re-execution on resume.
-
-        Returns None — falling back to the thread/serial path — when the
-        payload is not picklable or the first pool cannot be started at all.
-        """
-        keys = []
-        lkeys = []
-        pending: list[int] = []
-        values: list[float | None] = []
-        for i, cfg in enumerate(cfgs):
-            key = self._cache_key(model, ds, cfg)
-            keys.append(key)
-            lkeys.append(self._ledger_key(model, ds, cfg))
-            hit = self.eval_cache.get(key) if key is not None else None
-            if hit is not None:
-                self._ledger_backfill(lkeys[i], hit, cfg, noise_names[i])
-            else:
-                hit = self._ledger_hit(lkeys[i])
-                if hit is not None and key is not None:
-                    self.eval_cache.put(key, hit)
-            values.append(hit)
-            if hit is None:
-                pending.append(i)
-        if len(pending) < 2:
-            return None                        # nothing worth forking for
-        try:
-            payload = pickle.dumps((evaluate, model, ds))
-        except Exception as exc:               # noqa: BLE001 — any pickle error
-            logger.warning("process sweep unavailable (payload not "
-                           "picklable: %s); falling back to threads", exc)
-            return None
-
-        errors: dict[int, str] = {}
-        shm, shm_meta = _share_decoded_dataset(ds)
-        logger.info("sweep fan-out: %d workers requested, %d effective "
-                    "(cores available: %d, mode=process, shared_memory=%s)",
-                    self.workers,
-                    min(self.effective_workers, len(pending)),
-                    available_cores(), shm is not None)
-        try:
-            for attempt in range(1, self.retries + 2):
-                if not pending:
-                    break
-                try:
-                    pending = self._process_round(
-                        payload, shm_meta, cfgs, keys, lkeys, values,
-                        errors, pending, noise_names, attempt)
-                except SweepCancelled:
-                    raise                      # caller decision, not a fault
-                except Exception as exc:       # noqa: BLE001 — pool start
-                    if attempt == 1 and all(values[i] is None
-                                            for i in pending):
-                        # Nothing computed yet: the cheap degradation is the
-                        # historical one — run the whole batch on threads.
-                        logger.warning("process sweep failed (%s); falling "
-                                       "back to threads", exc)
-                        return None
-                    logger.warning("process sweep round %d failed (%s); "
-                                   "%d job(s) still pending",
-                                   attempt, exc, len(pending))
-                    for i in pending:
-                        errors.setdefault(i, _err_str(exc))
-        finally:
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:      # pragma: no cover
-                    pass
-        # Whatever is still pending exhausted its retry budget: record the
-        # structured failures and surface NaN cells.
-        for i in pending:
-            error = errors.setdefault(i, "worker crashed")
-            self._ledger_record(lkeys[i], status="error", error=error,
-                                noise=noise_names[i],
-                                label=cfgs[i].describe(),
-                                attempts=self.retries + 1)
-            values[i] = float("nan")
-        return list(values), {i: errors[i] for i in sorted(errors)
-                              if np.isnan(values[i])}
-
-    def _process_round(self, payload, shm_meta, cfgs, keys, lkeys, values,
-                       errors, pending, noise_names, attempt) -> list[int]:
-        """One pool generation over ``pending``; returns what still failed.
-
-        A worker crash breaks the whole ``ProcessPoolExecutor``: the
-        executor resolves every outstanding future — completed ones keep
-        their results, the rest get :class:`BrokenProcessPool` — so every
-        future is still drained here.  Cells that finished before the crash
-        keep their values; casualties (and jobs queued behind them) go back
-        to pending for the next round's fresh pool.
-        """
-        self._check_cancelled()
-        workers = min(self.effective_workers, len(pending))
-        still: list[int] = []
-        broken = False
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_process_worker_init,
-                                 initargs=(payload, shm_meta)) as pool:
-            futures = [(i, pool.submit(_process_eval, cfgs[i]))
-                       for i in pending]
-            for i, fut in futures:
-                try:
-                    value = float(fut.result())
-                except BrokenProcessPool as exc:
-                    if not broken:
-                        broken = True
-                        logger.warning(
-                            "process sweep pool broke on %s (attempt "
-                            "%d/%d): %s", cfgs[i].describe(), attempt,
-                            self.retries + 1, exc)
-                    errors[i] = f"worker crashed: {exc}" if str(exc) else \
-                        "worker crashed (process pool broken)"
-                    still.append(i)
-                    continue
-                except Exception as exc:       # noqa: BLE001 — worker raise
-                    errors[i] = _err_str(exc)
-                    logger.warning(
-                        "evaluation failed in worker (attempt %d/%d, %s): %s",
-                        attempt, self.retries + 1, cfgs[i].describe(), exc)
-                    still.append(i)
-                    continue
-                values[i] = value
-                errors.pop(i, None)
-                if keys[i] is not None:
-                    self.eval_cache.put(keys[i], value)
-                self._ledger_record(lkeys[i], status="ok", value=value,
-                                    noise=noise_names[i],
-                                    label=cfgs[i].describe(),
-                                    attempts=attempt)
-        return still
-
-    # -- (variant × shard) process fan-out ----------------------------------
-
-    def _process_map_sharded(self, plan, evaluate, model, ds,
-                             cfgs: list[NoiseConfig],
-                             noise_names: list[str | None],
-                             ) -> tuple[list[float], dict[int, str]] | None:
-        """Fan ``(variant × shard)`` work items over a process pool.
-
-        Each job evaluates one shard of one config and returns the
-        accumulator's JSON-safe state; the parent merges states per config
-        (order-free — accumulators key by global item index) and computes
-        the cell value, which lands in the eval cache and the ledger under
-        the same keys the serial path uses.  Work items are an order of
-        magnitude finer than whole-cell jobs, so a crashed worker costs one
-        shard, stragglers balance better, and — unlike the whole-dataset
-        path — nothing is ever materialised beyond one shard per worker.
-
-        Ledgered shard states are restored up front; only missing
-        ``(config, shard)`` pairs are submitted.  Returns None to fall back
-        to the thread/serial path (which shards too) when the payload is
-        unpicklable or the first pool cannot start.
-        """
-        adapter, bounds = plan
-        keys, lkeys, values = [], [], []
-        for i, cfg in enumerate(cfgs):
-            key = self._cache_key(model, ds, cfg)
-            keys.append(key)
-            lkeys.append(self._ledger_key(model, ds, cfg))
-            hit = self.eval_cache.get(key) if key is not None else None
-            if hit is not None:
-                self._ledger_backfill(lkeys[i], hit, cfg, noise_names[i])
-            else:
-                hit = self._ledger_hit(lkeys[i])
-                if hit is not None and key is not None:
-                    self.eval_cache.put(key, hit)
-            values.append(hit)
-        pending_cfgs = [i for i, v in enumerate(values) if v is None]
-        states: dict[tuple[int, tuple[int, int]], dict] = {}
-        jobs: list[tuple[int, int, int]] = []
-        for i in pending_cfgs:
-            for start, stop in bounds:
-                state = self._ledger_shard_hit(lkeys[i], start, stop)
-                if state is not None:
-                    states[(i, (start, stop))] = state
-                else:
-                    jobs.append((i, start, stop))
-        if len(jobs) < 2:
-            return None                        # nothing worth forking for
-        try:
-            # Shard workers evaluate through the adapter registry, never
-            # through the caller's callable — ship only model + dataset so
-            # an unpicklable closure doesn't cost the process fan-out.
-            payload = pickle.dumps((None, model, ds))
-        except Exception as exc:               # noqa: BLE001 — any pickle error
-            logger.warning("process sweep unavailable (payload not "
-                           "picklable: %s); falling back to threads", exc)
-            return None
-        shard_ctx = (self.task, self.batch_size, self._test_mitigation)
-        errors: dict[int, str] = {}
-        logger.info("sweep fan-out: %d workers requested, %d effective "
-                    "(cores available: %d, mode=process, %d (variant x "
-                    "shard) work items over %d shards)",
-                    self.workers, min(self.effective_workers, len(jobs)),
-                    available_cores(), len(jobs), len(bounds))
-        pending = jobs
-        restored = len(states)
-        for attempt in range(1, self.retries + 2):
-            if not pending:
-                break
-            try:
-                pending = self._process_round_sharded(
-                    payload, shard_ctx, cfgs, lkeys, states, errors,
-                    pending, noise_names, attempt)
-            except SweepCancelled:
-                raise                          # caller decision, not a fault
-            except Exception as exc:           # noqa: BLE001 — pool start
-                if attempt == 1 and len(states) == restored:
-                    # Nothing computed yet: degrade to the serial/thread
-                    # path, which streams shards too.
-                    logger.warning("process sweep failed (%s); falling "
-                                   "back to threads", exc)
-                    return None
-                logger.warning("process sweep round %d failed (%s); "
-                               "%d shard job(s) still pending",
-                               attempt, exc, len(pending))
-                for i, _, _ in pending:
-                    errors.setdefault(i, _err_str(exc))
-        out_errors: dict[int, str] = {}
-        for i in pending_cfgs:
-            got = [states.get((i, b)) for b in bounds]
-            if all(state is not None for state in got):
-                acc = adapter.accumulator(ds)
-                for state in got:
-                    acc.merge(adapter.accumulator(ds).load_state(state))
-                value = acc.value()
-                values[i] = value
-                if keys[i] is not None:
-                    self.eval_cache.put(keys[i], value)
-                self._ledger_record(lkeys[i], status="ok", value=value,
-                                    noise=noise_names[i],
-                                    label=cfgs[i].describe(), attempts=1)
-            else:
-                error = errors.get(i, "worker crashed")
-                self._ledger_record(lkeys[i], status="error", error=error,
-                                    noise=noise_names[i],
-                                    label=cfgs[i].describe(),
-                                    attempts=self.retries + 1)
-                values[i] = float("nan")
-                out_errors[i] = error
-        return list(values), out_errors
-
-    def _process_round_sharded(self, payload, shard_ctx, cfgs, lkeys,
-                               states, errors, pending, noise_names,
-                               attempt) -> list[tuple[int, int, int]]:
-        """One pool generation over pending (config, shard) jobs.
-
-        Completed shards land in ``states`` (and the ledger) immediately;
-        casualties of a broken pool go back to pending for the next round's
-        fresh pool, exactly like the whole-cell rounds — but the unit of
-        loss is one shard, not one dataset pass.
-        """
-        self._check_cancelled()
-        workers = min(self.effective_workers, len(pending))
-        still: list[tuple[int, int, int]] = []
-        broken = False
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_process_worker_init,
-                                 initargs=(payload, None, shard_ctx)) as pool:
-            futures = [((i, start, stop),
-                        pool.submit(_process_eval_shard, cfgs[i], start, stop))
-                       for i, start, stop in pending]
-            for (i, start, stop), fut in futures:
-                try:
-                    state = fut.result()
-                except BrokenProcessPool as exc:
-                    if not broken:
-                        broken = True
-                        logger.warning(
-                            "process sweep pool broke on %s shard "
-                            "[%d, %d) (attempt %d/%d): %s",
-                            cfgs[i].describe(), start, stop, attempt,
-                            self.retries + 1, exc)
-                    errors[i] = f"worker crashed: {exc}" if str(exc) else \
-                        "worker crashed (process pool broken)"
-                    still.append((i, start, stop))
-                    continue
-                except Exception as exc:       # noqa: BLE001 — worker raise
-                    errors[i] = _err_str(exc)
-                    logger.warning(
-                        "shard evaluation failed in worker (attempt "
-                        "%d/%d, %s [%d, %d)): %s", attempt,
-                        self.retries + 1, cfgs[i].describe(), start, stop,
-                        exc)
-                    still.append((i, start, stop))
-                    continue
-                states[(i, (start, stop))] = state
-                self._ledger_shard_record(lkeys[i], start, stop, state,
-                                          noise_names[i], cfgs[i])
-        return still
-
     # -- sweep primitives ---------------------------------------------------
 
     def sweep_noise(self, evaluate, model, ds, noise: str,
@@ -1236,125 +904,6 @@ class SweepEngine:
                                       list(names))
         return [(name, baseline - value)
                 for name, value in zip(names, values)]
-
-
-# ---------------------------------------------------------------------------
-# Process-pool worker side
-# ---------------------------------------------------------------------------
-
-#: Per-worker state installed by the pool initializer (one unpickle of the
-#: (evaluate, model, ds) payload per worker, not per job).
-_WORKER: dict = {}
-
-
-def _share_decoded_dataset(ds):
-    """Publish the clean-config decoded pixel batch in POSIX shared memory.
-
-    Returns ``(shm, meta)``; ``(None, None)`` for datasets without encoded
-    ``streams`` (NLP/audio) or when shared memory is unavailable.  The
-    parent decodes once (usually already memoised from the baseline
-    evaluation) and every worker maps the same pages read-only instead of
-    re-decoding or copying the dataset per process.
-    """
-    streams = getattr(ds, "streams", None)
-    if streams is None:
-        return None, None
-    shm = None
-    try:
-        from multiprocessing import shared_memory
-
-        from .pipeline import decode_dataset
-        decoded = decode_dataset(streams, TRAIN_CONFIG.decoder)
-        shm = shared_memory.SharedMemory(create=True, size=decoded.nbytes)
-        np.ndarray(decoded.shape, dtype=decoded.dtype,
-                   buffer=shm.buf)[:] = decoded
-        import multiprocessing
-        meta = (shm.name, decoded.shape, decoded.dtype.str,
-                streams_digest(streams), TRAIN_CONFIG.decoder,
-                multiprocessing.get_start_method())
-        return shm, meta
-    except Exception as exc:                   # noqa: BLE001 — best-effort
-        # A segment created before the failure (e.g. the copy-in or meta
-        # construction raised) must not outlive this call: without the
-        # unlink the kernel keeps the pages until reboot.
-        if shm is not None:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:          # pragma: no cover
-                pass
-        logger.warning("shared-memory dataset unavailable (%s); workers "
-                       "will decode independently", exc)
-        return None, None
-
-
-def _process_worker_init(payload: bytes, shm_meta, shard_ctx=None) -> None:
-    # Inter-op × intra-op widths multiply: a pool of N sweep workers each
-    # spinning available_cores() backend threads oversubscribes the host
-    # N-fold.  Workers default to serial kernels; an explicit
-    # REPRO_NUM_THREADS set by the operator is honoured as-is.
-    os.environ.setdefault("REPRO_NUM_THREADS", "1")
-    evaluate, model, ds = pickle.loads(payload)
-    _WORKER.update(evaluate=evaluate, model=model, ds=ds,
-                   shard_ctx=shard_ctx)
-    if shm_meta is None:
-        return
-    name, shape, dtype_str, digest, decoder, start_method = shm_meta
-    try:
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(name=name)
-    except Exception as exc:                   # noqa: BLE001 — degraded mode
-        # The worker still functions — it just re-decodes the dataset per
-        # process — but that silently multiplies the decode cost by the
-        # worker count, so it must be *visible*, never swallowed.
-        logger.warning("worker %d could not attach shared-memory dataset "
-                       "%s (%s); falling back to a per-process decode",
-                       os.getpid(), name, exc)
-        return
-    if start_method == "spawn":
-        # A spawned worker has its own resource tracker, and the attach
-        # above registered the segment with it — which would unlink the
-        # parent's segment at worker exit.  The parent owns the
-        # lifetime; forked workers share the parent's tracker and must
-        # NOT unregister (that would double-free the parent's entry).
-        # The catch is narrow on purpose: only the unregister bookkeeping
-        # may be forgiven here, not the shm attach/seed work around it.
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except (ImportError, AttributeError, KeyError, ValueError) as exc:
-            logger.warning("worker %d could not unregister segment %s from "
-                           "its resource tracker (%s); the segment may be "
-                           "unlinked early at worker exit", os.getpid(),
-                           name, exc)
-    try:
-        from .pipeline import default_decode_cache
-        decoded = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        _WORKER["shm"] = shm                   # keep the mapping alive
-        # Seed this worker's decode cache with the zero-copy view: the clean
-        # baseline pre-processing never re-decodes in any worker.
-        default_decode_cache()._put((digest, decoder), decoded)
-    except Exception as exc:                   # noqa: BLE001 — degraded mode
-        shm.close()
-        _WORKER.pop("shm", None)
-        logger.warning("worker %d could not seed its decode cache from "
-                       "shared memory (%s); falling back to a per-process "
-                       "decode", os.getpid(), exc)
-
-
-def _process_eval(cfg: NoiseConfig) -> float:
-    w = _WORKER
-    return float(w["evaluate"](w["model"], w["ds"], cfg))
-
-
-def _process_eval_shard(cfg: NoiseConfig, start: int, stop: int) -> dict:
-    """One (config, shard) job → the accumulator's JSON-safe state."""
-    w = _WORKER
-    task, batch_size, mitigation = w["shard_ctx"]
-    from .tasks import evaluate_partial_for_task
-    return evaluate_partial_for_task(task, w["model"], w["ds"], cfg,
-                                     start, stop, batch_size=batch_size,
-                                     mitigation=mitigation)
 
 
 # ---------------------------------------------------------------------------

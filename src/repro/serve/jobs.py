@@ -126,9 +126,11 @@ class JobSpec:
                                     hi=100_000)
         self.workers = self._int(doc, "workers", None, lo=1, hi=256)
         self.mode = doc.get("mode", "thread")
-        if self.mode not in ("thread", "process"):
-            raise ValidationError(f"mode must be 'thread' or 'process', "
-                                  f"got {self.mode!r}")
+        if self.mode != "thread":
+            raise ValidationError(f"mode must be 'thread', got "
+                                  f"{self.mode!r} (for multi-process runs "
+                                  f"use `repro run --mode shared` with "
+                                  f"`repro worker` processes)")
         self.retries = self._int(doc, "retries", 0, lo=0, hi=16)
         # Inference substrate: "plan" compiles the model once, publishes
         # plan.npz into the job's run directory, and restarts / `repro
@@ -138,10 +140,6 @@ class JobSpec:
         if self.inference not in ("module", "plan"):
             raise ValidationError(f"inference must be 'module' or 'plan', "
                                   f"got {self.inference!r}")
-        if self.inference == "plan" and self.mode == "process":
-            raise ValidationError("inference='plan' cannot use the process "
-                                  "pool: compiled plans hold bound kernels "
-                                  "that do not pickle (use mode='thread')")
         # Per-job wall-clock budget (seconds).  None defers to the
         # manager's default; checked by the watchdog at cell granularity
         # (a deadline that expires mid-training fires at the first sweep
@@ -542,7 +540,13 @@ class JobManager:
             if not serve_meta:
                 continue                       # not a serve-submitted run
             try:
-                spec = JobSpec(serve_meta["spec"])
+                doc = serve_meta["spec"]
+                if isinstance(doc, dict) and doc.get("mode") == "process":
+                    # Specs persisted before the sweep process pool was
+                    # removed: its tables were byte-identical to thread
+                    # mode's, so the run recovers (and resumes) as thread.
+                    doc = dict(doc, mode="thread")
+                spec = JobSpec(doc)
             except (ValidationError, KeyError, TypeError) as exc:
                 logger.warning("run %s: unrecoverable serve spec (%s)",
                                run_id, exc)

@@ -63,16 +63,6 @@ class TestLoweredParity:
             xb = RNG.normal(size=(b, 3, 32, 32))
             np.testing.assert_array_equal(plan_i.run(xb), plan_q.run(xb))
 
-    def test_parity_under_intra_op_threads(self, monkeypatch):
-        """Integer accumulation is order-invariant, so the tiled threaded
-        path must stay bit-identical too."""
-        _, lowered = lowered_pair("resnet18x0.25")
-        plan = ReferenceExecutor().compile(lowered)
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-        serial = plan.run(X)
-        monkeypatch.setenv("REPRO_NUM_THREADS", "4")
-        np.testing.assert_array_equal(plan.run(X), serial)
-
 
 class TestLoweredStructure:
     def test_quantised_compute_becomes_qops(self):

@@ -3,8 +3,12 @@
 The plan layer's contract is *exact* numeric parity with the interpreted
 executors — same graph, same backend options, same bits — plus safety of
 the liveness-analysed buffer reuse under aliasing (views of live buffers
-must never be clobbered by in-place rewrites).
+must never be clobbered by in-place rewrites).  The bounded
+``prepare_cached`` executor cache and the instrumented plan run are
+covered here too.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from repro.backend import (BACKEND_PRESETS, DeploymentExecutor, GraphBuilder,
                            export_module, fold_movement, fuse_conv_bn_relu,
                            fuse_conv_relu, fuse_elementwise, infer_shapes,
                            quantize_graph)
+from repro.backend.executor import (clear_prepared_cache, prepare_cached,
+                                    prepared_cache_stats)
 from repro.models import create_model
 
 RNG = np.random.default_rng(7)
@@ -258,3 +264,82 @@ class TestPlanCache:
         ga, gb = graph_for("resnet18x0.25"), graph_for("resnet18x0.25")
         ex = ReferenceExecutor()
         assert ex.compile(ga) is not ex.compile(gb)
+
+
+# ---------------------------------------------------------------------------
+# Instrumented run: per-node wall time, same bits
+# ---------------------------------------------------------------------------
+
+class TestInstrumentedRun:
+    def test_instrumented_run_matches_plain_run(self):
+        g = graph_for("mcunet-293kb")
+        plan = ReferenceExecutor().compile(g)
+        y, records = plan.run_instrumented(X)
+        np.testing.assert_array_equal(y, plan.run(X))
+        assert len(records) == len(plan.graph.nodes)
+        for rec in records:
+            assert set(rec) == {"name", "op", "time_s"}
+            assert rec["time_s"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Bounded prepare_cached (byte- and entry-bounded LRU)
+# ---------------------------------------------------------------------------
+
+class _Carrier:
+    """A graph-shaped cache key owner with a measurable payload."""
+
+    def __init__(self, nbytes: int):
+        self.initializers = {"w": np.zeros(nbytes, dtype=np.uint8)}
+
+
+class TestPreparedCache:
+    def setup_method(self):
+        clear_prepared_cache()
+
+    def teardown_method(self):
+        clear_prepared_cache()
+
+    def test_hit_and_miss_accounting(self):
+        g = _Carrier(64)
+        calls = []
+        for _ in range(3):
+            prepare_cached(g, "k", lambda graph: (calls.append(1), graph)[1])
+        stats = prepared_cache_stats()
+        assert len(calls) == 1
+        assert stats["hits"] == 2 and stats["misses"] == 1
+        assert stats["entries"] == 1
+
+    def test_entry_bound_evicts_lru(self, monkeypatch):
+        from repro.backend import executor as executor_mod
+        monkeypatch.setattr(executor_mod, "PREPARED_CACHE_ENTRIES", 3)
+        carriers = [_Carrier(16) for _ in range(5)]
+        for g in carriers:
+            prepare_cached(g, "k", lambda graph: graph)
+        assert prepared_cache_stats()["entries"] == 3
+        # The survivors are the most recently used; re-preparing the
+        # evicted head is a miss again.
+        before = prepared_cache_stats()["misses"]
+        prepare_cached(carriers[0], "k", lambda graph: graph)
+        assert prepared_cache_stats()["misses"] == before + 1
+
+    def test_byte_bound_evicts(self, monkeypatch):
+        from repro.backend import executor as executor_mod
+        monkeypatch.setattr(executor_mod, "PREPARED_CACHE_BYTES", 3000)
+        carriers = [_Carrier(1024) for _ in range(4)]
+        for g in carriers:
+            prepare_cached(g, "k", lambda graph: graph)
+        stats = prepared_cache_stats()
+        assert stats["entries"] < 4
+        assert stats["bytes"] <= 3000
+
+    def test_dead_graph_entries_are_reclaimed(self):
+        g = _Carrier(128)
+        # The cached value must not be the graph itself (as in real use,
+        # where transforms return new graphs/plans) or the cache's strong
+        # reference would keep the key's graph alive forever.
+        prepare_cached(g, "k", lambda graph: _Carrier(8))
+        assert prepared_cache_stats()["entries"] == 1
+        del g
+        gc.collect()
+        assert prepared_cache_stats()["entries"] == 0

@@ -155,6 +155,48 @@ class TestSweep:
         assert "cumulative" in out
 
 
+class TestRunModes:
+    """``repro run``/``resume`` accept ``--mode thread|shared`` only."""
+
+    def test_process_mode_flag_rejected(self):
+        for cmd in (["run"], ["resume", "r1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(cmd + ["--mode", "process"])
+        args = build_parser().parse_args(["run", "--mode", "shared"])
+        assert args.mode == "shared"
+
+    def test_resume_maps_recorded_process_mode_to_thread(
+            self, capsys, tmp_path, monkeypatch):
+        """Run directories recorded with the removed process pool resume
+        in thread mode (mode is not run identity; tables are identical)."""
+        import json
+
+        from repro.cli import run_cmd
+        code, _ = run_cli(capsys, "run", "--model", "mcunet-293kb",
+                          "--n", "16", "--epochs", "1", "--noises", "color",
+                          "--no-combined", "--store", str(tmp_path),
+                          "--run-id", "old", "--workers", "2",
+                          "--prepare-only")
+        assert code == 0
+        path = tmp_path / "old" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["cli"]["mode"] = "process"
+        path.write_text(json.dumps(manifest))
+        modes = []
+        build = run_cmd._build_stored_session
+
+        def spy(model, seed, data_kw, workers, mode, *rest, **kw):
+            modes.append(mode)
+            return build(model, seed, data_kw, workers, mode, *rest, **kw)
+
+        monkeypatch.setattr(run_cmd, "_build_stored_session", spy)
+        code, out = run_cli(capsys, "resume", "old", "--store",
+                            str(tmp_path))
+        assert code == 0, out
+        assert modes == ["thread"]
+        assert "SysNoise run" in out
+
+
 class TestExport:
     def test_export_writes_graph(self, capsys, tmp_path):
         out = tmp_path / "model.npz"

@@ -190,6 +190,11 @@ class TestSweepEngine:
             assert (serial["noises"][name].values
                     == parallel["noises"][name].values)
 
+    def test_rejects_unknown_mode(self):
+        for mode in ("fiber", "process"):
+            with pytest.raises(ValueError, match="'thread' or 'shared'"):
+                SweepEngine(mode=mode)
+
     def test_effective_workers_capped_by_cores(self):
         engine = SweepEngine(workers=64)
         from repro.core.sweep import available_cores
@@ -249,77 +254,3 @@ class TestDecodeCachePreproc:
         for i in range(8):
             cache.memo(("preproc", i), lambda: np.zeros(128))   # 1 KB each
         assert len(cache) <= 4
-
-
-# ---------------------------------------------------------------------------
-# Process-parallel sweeps
-# ---------------------------------------------------------------------------
-
-def _tiny_cls_fixture():
-    from repro.core import get_task
-    from repro.data import make_classification_dataset
-    from repro.models import create_model
-
-    ds = make_classification_dataset(n=12, native_size=48, input_size=32,
-                                     seed=3)
-    m = create_model("mcunet-293kb", num_classes=ds.num_classes, seed=0)
-    m.eval()
-    return get_task("cls"), m, ds
-
-
-class TestProcessMode:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            SweepEngine(mode="fiber")
-
-    def test_process_results_identical_to_serial(self, monkeypatch):
-        """A 2-worker process sweep returns exactly the serial metrics (the
-        core count is patched so the pool engages on single-core CI too)."""
-        import repro.core.sweep as sweep_mod
-        monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
-        adapter, m, ds = _tiny_cls_fixture()
-        serial = SweepEngine(eval_cache=EvalCache()).noise_row(
-            adapter.evaluate, m, ds, ["decoder", "precision"])
-        proc = SweepEngine(workers=2, eval_cache=EvalCache(),
-                           mode="process").noise_row(
-            adapter.evaluate, m, ds, ["decoder", "precision"])
-        assert serial["trained"] == proc["trained"]
-        assert serial["combined"] == proc["combined"]
-        for name in ("decoder", "precision"):
-            assert (serial["noises"][name].values
-                    == proc["noises"][name].values)
-
-    def test_process_results_land_in_parent_eval_cache(self, monkeypatch):
-        import repro.core.sweep as sweep_mod
-        monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
-        adapter, m, ds = _tiny_cls_fixture()
-        cache = EvalCache()
-        engine = SweepEngine(workers=2, eval_cache=cache, mode="process")
-        engine.sweep_noise(adapter.evaluate, m, ds, "decoder")
-        assert cache.misses > 0
-        before = cache.hits
-        engine.sweep_noise(adapter.evaluate, m, ds, "decoder")
-        assert cache.hits > before          # re-sweep served from the cache
-
-    def test_unpicklable_evaluate_falls_back_to_threads(self, monkeypatch):
-        import repro.core.sweep as sweep_mod
-        monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
-        lock = threading.Lock()             # unpicklable capture
-
-        def evaluate(model, ds, cfg):
-            with lock:
-                return 42.0 - (cfg.precision != "fp32")
-
-        engine = SweepEngine(workers=2, eval_cache=EvalCache(),
-                             mode="process")
-        result = engine.sweep_noise(evaluate, FakeModel(),
-                                    FakeDataset([b"s"]), "precision")
-        assert result.values                # computed despite the fallback
-
-    def test_session_process_eval_fn_is_picklable(self):
-        import pickle
-
-        from repro.core import BenchmarkSession
-        session = BenchmarkSession().task("cls").workers(2, mode="process")
-        fn = session._eval_fn(session.adapter)
-        pickle.dumps(fn)

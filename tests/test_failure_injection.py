@@ -8,13 +8,11 @@ answer).
 The sweep layer is the exception to "loud": a full sweep is the
 longest-running workload, so there one failing *cell* must degrade into a
 structured failure (``!`` in the table, an error entry in the run ledger)
-instead of aborting the row — and a killed process-mode sweep must resume
+instead of aborting the row — and an interrupted threaded sweep must resume
 from its ledger to a bit-identical table.  ``TestSweepFaultIsolation`` and
 ``TestCrashResume`` cover that contract.
 """
 
-import os
-import signal
 import threading
 
 import numpy as np
@@ -202,13 +200,6 @@ def _raise_on_opencv(model, ds, cfg):
     return _metric(cfg)
 
 
-def _kill_worker_on_opencv(model, ds, cfg):
-    """Simulates a worker dying mid-evaluation (OOM killer, segfault)."""
-    if cfg.decoder == "opencv":
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _metric(cfg)
-
-
 class TestSweepFaultIsolation:
     def test_one_raising_variant_keeps_the_others(self):
         row = SweepEngine(eval_cache=EvalCache()).noise_row(
@@ -297,7 +288,8 @@ class TestSweepFaultIsolation:
 
 
 class TestCrashResume:
-    """A killed process-mode sweep must resume to an identical table."""
+    """A threaded sweep with failed cells must resume to an identical
+    table."""
 
     def _manifest(self):
         return run_manifest(task="cls", model="fake", seed=0,
@@ -310,11 +302,11 @@ class TestCrashResume:
         store = RunStore(tmp_path)
         ledger = store.open_or_create(self._manifest(), run_id="crash")
         engine = SweepEngine(workers=2, eval_cache=EvalCache(),
-                             mode="process", ledger=ledger,
+                             mode="thread", ledger=ledger,
                              model_key="fake")
-        # The sweep survives a SIGKILLed worker: no exception, a row comes
-        # back, and the cells that completed before the crash are on disk.
-        row = engine.noise_row(_kill_worker_on_opencv, _SweepModel(),
+        # The sweep survives a crashing cell: no exception, a row comes
+        # back, and the cells that completed around the crash are on disk.
+        row = engine.noise_row(_raise_on_opencv, _SweepModel(),
                                _SweepDataset(), ["decoder", "precision"])
         assert row["trained"] == _metric(TRAIN_CONFIG)
         counts = ledger.counts()
@@ -351,36 +343,29 @@ class TestCrashResume:
                     == clean["noises"][name].values)
             assert resumed["noises"][name].errors == {}
 
-    def test_process_retry_budget_reruns_crashed_batch(self, tmp_path,
-                                                       monkeypatch):
-        """A transient crash is healed *within* one sweep when the retry
-        budget allows a fresh pool generation."""
+    def test_thread_retry_budget_reruns_failed_cell(self, monkeypatch):
+        """A transient failure is healed *within* one threaded sweep when
+        the retry budget allows another attempt."""
         import repro.core.sweep as sweep_mod
         monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
-        flag = tmp_path / "crashed-once"
+        lock = threading.Lock()
+        failed: list = []
 
-        # Module-level so it pickles by reference into workers.
-        global _crash_once_flag
-        _crash_once_flag = str(flag)
+        def raise_once_on_opencv(model, ds, cfg):
+            with lock:
+                first = cfg.decoder == "opencv" and not failed
+                if first:
+                    failed.append(cfg)
+            if first:
+                raise RuntimeError("transient decoder crash (simulated)")
+            return _metric(cfg)
 
         engine = SweepEngine(workers=2, eval_cache=EvalCache(),
-                             mode="process", retries=1)
-        result = engine.sweep_noise(_kill_worker_once, _SweepModel(),
+                             mode="thread", retries=1)
+        result = engine.sweep_noise(raise_once_on_opencv, _SweepModel(),
                                     _SweepDataset(), "decoder")
+        assert len(failed) == 1               # the failure really happened
         assert result.errors == {}
         assert result.values == [
             _metric(TRAIN_CONFIG.with_(decoder=d))
             for d in ("pil", "opencv", "ffmpeg")]
-
-
-#: Path sentinel for _kill_worker_once (set per-test; workers inherit via fork).
-_crash_once_flag = None
-
-
-def _kill_worker_once(model, ds, cfg):
-    if cfg.decoder == "opencv" and _crash_once_flag is not None:
-        if not os.path.exists(_crash_once_flag):
-            with open(_crash_once_flag, "w") as fh:
-                fh.write("x")
-            os.kill(os.getpid(), signal.SIGKILL)
-    return _metric(cfg)

@@ -6,7 +6,7 @@ three contracts that migration must not break:
 1. **Parity** — training/evaluating through the registered hooks is
    bit-identical to the legacy direct-call API (which now only warns).
 2. **Sweep determinism** — mitigated sweeps return the same bytes in
-   serial, process and shared modes, and the episodic TENT protocol is
+   serial, thread and shared modes, and the episodic TENT protocol is
    invariant to how the dataset is sharded (at fixed batch geometry).
 3. **Ledger identity** — mitigation identity folds into the cell digest
    and the run manifest, so mitigated and unmitigated results can never
@@ -298,17 +298,17 @@ def _session(val, **store_kw):
 
 
 class TestSweepModeParity:
-    def test_serial_process_and_shared_are_byte_identical(
+    def test_serial_thread_and_shared_are_byte_identical(
             self, tiny_cls, tmp_path, monkeypatch):
         import repro.core.sweep as sweep_mod
         monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
         _, val = tiny_cls
         serial = _rows_repr(_session(val).run())
-        proc = _rows_repr(_session(val).workers(2, "process").run())
+        threaded = _rows_repr(_session(val).workers(2, "thread").run())
         shared = _rows_repr(
             _session(val, path=tmp_path, run_id="shared")
             .workers(None, "shared").run())
-        assert serial == proc
+        assert serial == threaded
         assert serial == shared
         assert set(serial) == {"mcunet-293kb", "mcunet-293kb+tent"}
 

@@ -158,18 +158,9 @@ class TestIdentity:
         # ... and the module key itself is stable across engines.
         assert k_module == SweepEngine()._cache_key(model, ds, TRAIN_CONFIG)
 
-    def test_engine_rejects_process_mode(self):
-        with pytest.raises(ValueError, match="pickle"):
-            SweepEngine(inference="plan", workers=2, mode="process")
-
     def test_engine_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="inference"):
             SweepEngine(inference="jit")
-
-    def test_session_rejects_process_mode(self):
-        with pytest.raises(ValueError, match="pickle"):
-            (BenchmarkSession().task("cls").workers(2, mode="process")
-             .inference("plan"))
 
 
 # ---------------------------------------------------------------------------

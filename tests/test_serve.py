@@ -326,6 +326,22 @@ class TestRestartRecovery:
         again, created = second.submit(dict(TINY))
         assert not created and again.status == "completed"
 
+    def test_persisted_process_mode_spec_recovers_as_thread(self, tmp_path):
+        """Specs persisted before the process pool was removed stay
+        recoverable: their mode maps to thread, not 'unrecoverable'."""
+        first = JobManager(tmp_path, runner=lambda job: None)
+        job, _ = first.submit(dict(TINY))
+        path = first.store.root / job.id / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["serve"]["spec"]["mode"] = "process"
+        manifest["cli"]["mode"] = "process"
+        path.write_text(json.dumps(manifest))
+        second = JobManager(tmp_path, runner=lambda job: None)
+        recovered = second.recover()
+        assert [j.id for j in recovered] == [job.id]
+        assert recovered[0].spec.mode == "thread"
+        assert recovered[0].status == "queued"
+
     def test_resume_flag_reenqueues(self, tmp_path):
         first = JobManager(tmp_path, runner=lambda job: None)
         job, _ = first.submit(dict(TINY))
@@ -401,6 +417,14 @@ class TestHTTPSurface:
             _post(base, {"model": "alexnet-9000"})
         assert exc.value.code == 400
         assert "alexnet-9000" in json.load(exc.value)["error"]
+
+    def test_submit_process_mode_400(self, stub_service):
+        _, base = stub_service
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _post(base, dict(TINY, mode="process"))
+        assert exc.value.code == 400
+        error = json.load(exc.value)["error"]
+        assert "--mode shared" in error and "repro worker" in error
 
     def test_unknown_job_404_and_bad_method_405(self, stub_service):
         _, base = stub_service

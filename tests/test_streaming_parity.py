@@ -129,7 +129,7 @@ def test_partials_merge_to_whole(task, trained):
     assert len(bounds) >= 2
     acc = adapter.accumulator(ds)
     # Merge in reverse completion order, via the JSON state round-trip the
-    # process scheduler and the ledger both use.
+    # shared-mode workers and the ledger both use.
     import json
     parts = list(adapter.evaluate_partials(model, ds, cfg, bounds,
                                            cache=DecodeCache(),
@@ -188,12 +188,12 @@ class TestShardedSweeps:
         sharded = _session(shard=8).run().render("parity")
         assert sharded == mono
 
-    def test_process_mode_variant_x_shard_schedule(self, monkeypatch):
+    def test_thread_mode_variant_x_shard_schedule(self, monkeypatch):
         import repro.core.sweep as sweep_mod
         monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
         mono = _session().run().render("parity")
-        proc = _session(shard=8, workers=2, mode="process").run()
-        assert proc.render("parity") == mono
+        threaded = _session(shard=8, workers=2, mode="thread").run()
+        assert threaded.render("parity") == mono
 
     def test_shard_resume_reexecutes_only_missing_shards(self, tmp_path,
                                                          monkeypatch):

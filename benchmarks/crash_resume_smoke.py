@@ -138,7 +138,7 @@ def main() -> int:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", *ARGS,
          "--store", str(tmp / "crash"), "--run-id", "crash",
-         "--workers", "2", "--mode", "thread"],
+         "--workers", "2"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)          # own group: kill workers too
     deadline = time.time() + TIMEOUT_S
@@ -189,7 +189,7 @@ def main() -> int:
         f"batch-4 reference run failed:\n{ref4.stdout}\n{ref4.stderr}"
     ref4_table = table_body(ref4.stdout)
     shard_args = [*ARGS, "--batch-size", "4", "--shard-size", "4",
-                  "--workers", "2", "--mode", "thread"]
+                  "--workers", "2"]
     ledger = tmp / "shard" / "shard" / "ledger.jsonl"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", *shard_args,
@@ -316,7 +316,7 @@ def main() -> int:
     ledger = tmp / "mit" / "mit" / "ledger.jsonl"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", *mit_args,
-         "--shard-size", "4", "--workers", "2", "--mode", "thread",
+         "--shard-size", "4", "--workers", "2",
          "--store", str(tmp / "mit"), "--run-id", "mit"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)

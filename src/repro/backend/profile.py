@@ -44,6 +44,10 @@ class GraphProfile:
     wall_time_s: float | None = None
     batch: int | None = None
     compiled: bool = False          # wall time measured on an ExecutionPlan
+    #: Per-node wall time (compiled timing only): each is
+    #: ``{"name", "op", "time_s"}`` from
+    #: :meth:`~repro.backend.plan.ExecutionPlan.run_instrumented`.
+    node_times: list | None = None
 
     @property
     def total_flops(self) -> int:
@@ -157,6 +161,9 @@ def profile_graph(graph: Graph, input_shape: tuple = (None, 3, 32, 32), *,
             best = min(best, time.perf_counter() - start)
         profile.wall_time_s = best
         profile.batch = len(x)
+        if compiled:
+            # One extra instrumented pass, outside the min-of-N timing.
+            _, profile.node_times = plan.run_instrumented(x)
     return profile
 
 
@@ -175,4 +182,14 @@ def render_profile(profile: GraphProfile, top: int = 8) -> str:
     for op in profile.heaviest(top):
         lines.append(f"{op.name:<32} {op.op:<14} {op.flops:>12d} "
                      f"{op.params:>8d} {100 * op.flops / total:>7.1f}%")
+    if profile.node_times:
+        wall = sum(r["time_s"] for r in profile.node_times) or 1.0
+        lines.append("")
+        lines.append(f"{'layer':<32} {'op':<14} {'ms':>8} {'% time':>8}")
+        heaviest = sorted(profile.node_times, key=lambda r: r["time_s"],
+                          reverse=True)[:top]
+        for r in heaviest:
+            lines.append(f"{r['name']:<32} {r['op']:<14} "
+                         f"{r['time_s'] * 1e3:>8.2f} "
+                         f"{100 * r['time_s'] / wall:>7.1f}%")
     return "\n".join(lines)

@@ -19,11 +19,6 @@ __all__ = ["register"]
 
 _DATA_DEFAULTS = dict(native_size=48, input_size=32)
 
-_MODES = ("thread", "shared")
-_MODE_HELP = ("execution mode: 'thread' fans --workers threads over this "
-              "process; 'shared' divides cells with `repro worker` "
-              "processes on the same run directory via leases")
-
 _MITIGATE_HELP = ("mitigation to sweep alongside the clean row, e.g. "
                   "`tent`, `tent:steps=2,lr=0.01`, `augment:augmix`, "
                   "`mix` (repeatable; see `repro mitigations`)")
@@ -111,8 +106,6 @@ def register(sub: argparse._SubParsersAction) -> None:
                         "every joining worker loads it instead of "
                         "recompiling (run identity — resume inherits it)")
     _add_engine_args(p)
-    p.add_argument("--mode", choices=_MODES, default="thread",
-                   help=_MODE_HELP)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("resume",
@@ -125,8 +118,11 @@ def register(sub: argparse._SubParsersAction) -> None:
                    help="override the recorded retry budget")
     p.add_argument("--workers", type=int, default=None,
                    help="override the recorded worker count")
-    p.add_argument("--mode", choices=_MODES, default=None,
-                   help="override the recorded execution mode")
+    p.add_argument("--mode", choices=("thread", "shared"), default=None,
+                   help="override the recorded execution mode: 'thread' "
+                        "fans --workers threads over this process; 'shared' "
+                        "divides cells with `repro worker` processes on the "
+                        "same run directory via leases")
     p.add_argument("--mitigate", action="append", default=None,
                    metavar="NAME[:K=V,...]",
                    help="must match the run's recorded mitigations exactly "
@@ -178,7 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         session = _build_stored_session(
             args.model, args.seed, data_kw, args.workers,
-            args.mode, args.batch_size, args.retries,
+            "thread", args.batch_size, args.retries,
             getattr(args, "shard_size", None),
             inference=getattr(args, "inference", "module"))
     except ValueError as exc:                # e.g. plan + a non-cls task
@@ -193,7 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                   cli={"model": args.model, "data": data_kw,
                        "fit": {"epochs": args.epochs},
                        "workers": args.workers,
-                       "mode": args.mode,
+                       "mode": "thread",
                        "batch_size": args.batch_size,
                        "shard_size": getattr(args, "shard_size", None),
                        "retries": args.retries,

@@ -76,13 +76,14 @@ class JobSpec:
 
     FIELDS = ("kind", "task", "model", "n", "train_frac", "epochs", "seed",
               "noises", "include_combined", "batch_size", "shard_size",
-              "workers", "mode", "retries", "deadline", "mitigation",
-              "inference")
+              "workers", "retries", "deadline", "mitigation", "inference")
 
     def __init__(self, doc: dict):
         if not isinstance(doc, dict):
             raise ValidationError("job spec must be a JSON object")
-        unknown = sorted(set(doc) - set(self.FIELDS))
+        # ``mode`` is still accepted so older clients' specs validate, but
+        # serve jobs only run in thread mode, so it is not part of the spec.
+        unknown = sorted(set(doc) - set(self.FIELDS) - {"mode"})
         if unknown:
             raise ValidationError(f"unknown spec field(s) {unknown}; "
                                   f"accepted: {list(self.FIELDS)}")
@@ -125,11 +126,10 @@ class JobSpec:
         self.shard_size = self._int(doc, "shard_size", None, lo=1,
                                     hi=100_000)
         self.workers = self._int(doc, "workers", None, lo=1, hi=256)
-        self.mode = doc.get("mode", "thread")
-        if self.mode != "thread":
+        if doc.get("mode", "thread") != "thread":
             raise ValidationError(f"mode must be 'thread', got "
-                                  f"{self.mode!r} (for multi-process runs "
-                                  f"use `repro run --mode shared` with "
+                                  f"{doc['mode']!r} (for multi-process runs "
+                                  f"use `repro run --prepare-only` with "
                                   f"`repro worker` processes)")
         self.retries = self._int(doc, "retries", 0, lo=0, hi=16)
         # Inference substrate: "plan" compiles the model once, publishes
@@ -239,7 +239,7 @@ class JobSpec:
         job the server never finished."""
         return {"model": self.model, "data": self.data_kw(),
                 "fit": {"epochs": self.epochs}, "workers": self.workers,
-                "mode": self.mode, "batch_size": self.batch_size,
+                "mode": "thread", "batch_size": self.batch_size,
                 "shard_size": self.shard_size, "retries": self.retries,
                 "inference": self.inference,
                 "mitigate": list(self.mitigation_raw)}
@@ -541,11 +541,11 @@ class JobManager:
                 continue                       # not a serve-submitted run
             try:
                 doc = serve_meta["spec"]
-                if isinstance(doc, dict) and doc.get("mode") == "process":
-                    # Specs persisted before the sweep process pool was
-                    # removed: its tables were byte-identical to thread
-                    # mode's, so the run recovers (and resumes) as thread.
-                    doc = dict(doc, mode="thread")
+                if isinstance(doc, dict):
+                    # Older specs carry a ``mode``; "process" ran a pool
+                    # since removed whose tables were byte-identical to
+                    # thread mode's, so every such run recovers as thread.
+                    doc = {k: v for k, v in doc.items() if k != "mode"}
                 spec = JobSpec(doc)
             except (ValidationError, KeyError, TypeError) as exc:
                 logger.warning("run %s: unrecoverable serve spec (%s)",
@@ -754,7 +754,7 @@ class JobManager:
         session = (BenchmarkSession()
                    .task(spec.task)
                    .seed(spec.seed)
-                   .workers(spec.workers, mode=spec.mode)
+                   .workers(spec.workers)
                    .batch(spec.batch_size)
                    .shards(spec.shard_size)
                    .retries(spec.retries)

@@ -17,7 +17,7 @@ from repro.backend import (BACKEND_PRESETS, DeploymentExecutor, GraphBuilder,
                            PLAN_PASSES, ReferenceExecutor, compile_plan,
                            export_module, fold_movement, fuse_conv_bn_relu,
                            fuse_conv_relu, fuse_elementwise, infer_shapes,
-                           quantize_graph)
+                           profile_graph, quantize_graph, render_profile)
 from repro.backend.executor import (clear_prepared_cache, prepare_cached,
                                     prepared_cache_stats)
 from repro.models import create_model
@@ -280,6 +280,27 @@ class TestInstrumentedRun:
         for rec in records:
             assert set(rec) == {"name", "op", "time_s"}
             assert rec["time_s"] >= 0.0
+
+
+class TestCompiledProfile:
+    """``profile_graph(compiled=True)`` keeps one per-node timing pass."""
+
+    def test_node_times_are_per_node(self):
+        g = graph_for("mcunet-293kb")
+        profile = profile_graph(g, x=X, compiled=True, repeats=1)
+        assert len(profile.node_times) == len(g.nodes)
+        assert all(rec["time_s"] >= 0.0 for rec in profile.node_times)
+
+    def test_render_includes_node_time_section(self):
+        g = graph_for("mcunet-293kb")
+        profile = profile_graph(g, x=X, compiled=True, repeats=1)
+        text = render_profile(profile, top=5)
+        assert "% time" in text and "(compiled plan)" in text
+
+    def test_uncompiled_profile_has_no_node_times(self):
+        g = graph_for("mcunet-293kb")
+        assert profile_graph(g, x=X, repeats=1).node_times is None
+        assert "% time" not in render_profile(profile_graph(g))
 
 
 # ---------------------------------------------------------------------------

@@ -156,13 +156,13 @@ class TestSweep:
 
 
 class TestRunModes:
-    """``repro run``/``resume`` accept ``--mode thread|shared`` only."""
+    """``repro run`` is thread-only; ``resume`` takes ``--mode thread|shared``."""
 
-    def test_process_mode_flag_rejected(self):
-        for cmd in (["run"], ["resume", "r1"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(cmd + ["--mode", "process"])
-        args = build_parser().parse_args(["run", "--mode", "shared"])
+    def test_mode_flags(self):
+        assert not hasattr(build_parser().parse_args(["run"]), "mode")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["resume", "r1", "--mode", "process"])
+        args = build_parser().parse_args(["resume", "r1", "--mode", "shared"])
         assert args.mode == "shared"
 
     def test_resume_maps_recorded_process_mode_to_thread(

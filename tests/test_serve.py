@@ -56,6 +56,14 @@ class TestJobSpec:
         with pytest.raises(ValidationError, match="epochz"):
             JobSpec({"epochz": 3})
 
+    def test_thread_mode_is_accepted_but_not_identity(self):
+        spec = JobSpec({"mode": "thread"})
+        assert "mode" not in spec.normalized()
+        assert spec.digest() == JobSpec({}).digest()
+        assert spec.cli_block()["mode"] == "thread"
+        with pytest.raises(ValidationError, match="repro worker"):
+            JobSpec({"mode": "shared"})
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValidationError, match="alexnet-9000"):
             JobSpec({"model": "alexnet-9000"})
@@ -339,7 +347,7 @@ class TestRestartRecovery:
         second = JobManager(tmp_path, runner=lambda job: None)
         recovered = second.recover()
         assert [j.id for j in recovered] == [job.id]
-        assert recovered[0].spec.mode == "thread"
+        assert recovered[0].spec.digest() == job.spec.digest()
         assert recovered[0].status == "queued"
 
     def test_resume_flag_reenqueues(self, tmp_path):
@@ -424,7 +432,7 @@ class TestHTTPSurface:
             _post(base, dict(TINY, mode="process"))
         assert exc.value.code == 400
         error = json.load(exc.value)["error"]
-        assert "--mode shared" in error and "repro worker" in error
+        assert "--prepare-only" in error and "repro worker" in error
 
     def test_unknown_job_404_and_bad_method_405(self, stub_service):
         _, base = stub_service

@@ -188,7 +188,7 @@ class TestShardedSweeps:
         sharded = _session(shard=8).run().render("parity")
         assert sharded == mono
 
-    def test_thread_mode_variant_x_shard_schedule(self, monkeypatch):
+    def test_threaded_sharded_sweep_matches_monolithic(self, monkeypatch):
         import repro.core.sweep as sweep_mod
         monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
         mono = _session().run().render("parity")

@@ -115,13 +115,21 @@ def _prepared_sizeof(value) -> int:
 
 
 def _evict_token(token: int) -> None:
-    """weakref finalizer: drop every entry of a collected graph."""
+    """weakref finalizer: drop every entry of a collected graph.
+
+    It can run re-entrantly on this thread while the cache is being
+    changed (dropping a cached value may drop the last reference to a
+    graph), so a key it lists may already be gone: pop with a default and
+    count only the bytes actually removed.
+    """
     global _PREPARED_NBYTES
     with _PREPARE_LOCK:
         _PREPARED_TOKENS.discard(token)
         stale = [k for k in _PREPARED if k[0] == token]
         for k in stale:
-            _PREPARED_NBYTES -= _prepared_sizeof(_PREPARED.pop(k))
+            value = _PREPARED.pop(k, None)
+            if value is not None:
+                _PREPARED_NBYTES -= _prepared_sizeof(value)
 
 
 def prepare_cached(graph: Graph, key, transform):
@@ -175,9 +183,14 @@ def clear_prepared_cache() -> None:
     """Drop every prepared graph/plan (tests; frees pinned weight copies)."""
     global _PREPARED_NBYTES, _PREPARED_HITS, _PREPARED_MISSES
     with _PREPARE_LOCK:
+        # Hold the values until the cache is empty: a graph kept alive only
+        # by a cached value would otherwise die inside ``clear()``, and its
+        # finalizer would iterate the OrderedDict mid-clear (KeyError).
+        doomed = list(_PREPARED.values())
         _PREPARED.clear()
         _PREPARED_NBYTES = 0
         _PREPARED_HITS = _PREPARED_MISSES = 0
+    del doomed
 
 
 def create_backend(name_or_options: "str | BackendOptions") -> "Executor":

@@ -19,8 +19,10 @@ Two caches live here:
 
 Both caches are thread-safe: a :class:`~repro.core.sweep.SweepEngine` pool
 may probe them from several workers at once.  Misses compute outside the
-lock (two threads may race to compute the same entry; the result is simply
-stored twice — correctness is unaffected because evaluations are pure).
+lock and are single-flight: when several threads miss on the same key at
+once, one computes and the others wait for its result (if that compute
+raises, a waiter computes for itself), so a shard's decoded chunk is
+decoded once however many sweep workers start on it together.
 
 A :class:`~repro.core.session.BenchmarkSession` owns private instances;
 module-level helpers in :mod:`repro.core.pipeline` fall back to a shared
@@ -153,6 +155,17 @@ def eval_key(model, ds, cfg) -> tuple:
 # The caches
 # ---------------------------------------------------------------------------
 
+class _Flight:
+    """One in-progress :meth:`_LruCache.memo` compute that others wait on."""
+
+    __slots__ = ("done", "ok", "value")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.ok = False
+        self.value = None
+
+
 class _LruCache:
     """Thread-safe bounded LRU mapping with hit/miss counters.
 
@@ -167,6 +180,7 @@ class _LruCache:
         self.maxsize = maxsize
         self.max_bytes = max_bytes
         self._entries: OrderedDict = OrderedDict()
+        self._inflight: dict = {}      # key -> _Flight of its computing thread
         self._lock = threading.Lock()
         self._nbytes = 0
         self.hits = 0
@@ -208,17 +222,43 @@ class _LruCache:
     def memo(self, key, compute):
         """The cached value for ``key``, computing via ``compute()`` on miss.
 
-        Unhashable keys (e.g. a config carrying an unhashable custom-noise
-        variant) skip memoisation and compute directly.
+        Single-flight: a thread that misses while another thread is already
+        computing ``key`` waits for that result instead of computing it
+        again (counted as a hit).  If the computing thread raises, the
+        exception is its own; each waiter then retries the lookup and one of
+        them computes.  Unhashable keys (e.g. a config carrying an
+        unhashable custom-noise variant) skip memoisation and compute
+        directly.
         """
         try:
-            cached = self._get(key)
+            hash(key)
         except TypeError:
             return compute()
-        if cached is not None:
-            return cached
-        value = compute()
-        self._put(key, value)
+        while True:
+            with self._lock:
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self.hits += 1
+                    self._entries.move_to_end(key)
+                    return cached
+                flight = self._inflight.get(key)
+                if flight is None:
+                    flight = self._inflight[key] = _Flight()
+                    self.misses += 1
+                    break
+            flight.done.wait()
+            if flight.ok:
+                with self._lock:
+                    self.hits += 1
+                return flight.value
+        try:
+            value = compute()
+            flight.value, flight.ok = value, True
+            self._put(key, value)
+        finally:
+            with self._lock:
+                del self._inflight[key]
+            flight.done.set()
         return value
 
     def drop_prefix(self, prefix: str) -> None:
@@ -252,10 +292,16 @@ class DecodeCache(_LruCache):
         """Return the decoded batch, computing it via ``decode_fn`` on miss.
 
         ``decode_fn(streams, decoder) -> np.ndarray`` runs only when the
-        (contents, decoder) pair has not been seen (or was evicted).
+        (contents, decoder) pair has not been seen (or was evicted).  The
+        batch is returned read-only: one cached chunk feeds every sweep
+        cell on its shard, concurrently, so an in-place write must raise
+        instead of corrupting a neighbouring cell's pixels.
         """
-        return self.memo((streams_digest(streams), decoder),
-                         lambda: decode_fn(streams, decoder))
+        def compute() -> np.ndarray:
+            batch = decode_fn(streams, decoder)
+            batch.setflags(write=False)
+            return batch
+        return self.memo((streams_digest(streams), decoder), compute)
 
 
 class EvalCache(_LruCache):

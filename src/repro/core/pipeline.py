@@ -22,9 +22,10 @@ Two dataflow shapes serve the same math:
   repeat sweeps over RAM-sized datasets want.
 * **Streaming** — :func:`preprocess_shards` yields the same tensor in
   shard-sized chunks with peak memory bounded by one shard.  Chunk *decode*
-  is content-memoised when a cache is passed (decoded pixels are shared
-  across variants that only differ on the model side); the per-config float
-  chunks are never cached — in a stream they are write-once-read-once.
+  is content-memoised when a cache is passed: the sharded sweep hands all
+  cells on one shard a per-shard cache, so every variant that keeps a
+  decoder persona reads the same read-only uint8 chunk; the per-config
+  float chunks are never cached — in a stream they are write-once-read-once.
   Every chunk is bit-identical to the corresponding slice of the monolithic
   tensor (decode and resize are strictly per-image operations), so the two
   shapes are interchangeable wherever the consumer cuts its inference

@@ -38,11 +38,15 @@ rows in variant order, so every execution mode renders the same table:
 * **Shard granularity** — construct the engine with ``shard_size`` (plus
   the ``task`` name) and every cell streams through the task adapter's
   shard pipeline: peak memory is bounded by one shard instead of the
-  dataset, shared workers claim ``(variant × shard)`` work items whose
-  partial :class:`~repro.core.metrics.MetricAccumulator` states merge
-  order-free, and the ledger records per-*shard* entries so a crash
-  mid-dataset resumes at shard granularity.  Shard bounds are aligned to
-  the adapter's inference minibatch size, which is what keeps sharded
+  dataset, work is divided into ``(cell × shard)`` items whose partial
+  :class:`~repro.core.metrics.MetricAccumulator` states merge order-free,
+  and the ledger records per-*shard* entries so a crash mid-dataset
+  resumes at shard granularity.  Serial and thread sweeps run a row's
+  items *shard-major*: every cell finishes shard *k* before any starts
+  shard *k+1*, and the cells on shard *k* share one decode of it per
+  decoder persona through a cache that is dropped with the shard.  Shared
+  workers claim the same items through leases.  Shard bounds are aligned
+  to the adapter's inference minibatch size, which is what keeps sharded
   results bit-identical to the monolithic path (see
   :mod:`repro.core.datapipe`).
 
@@ -63,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import EvalCache, dataset_token, eval_key
+from .cache import DecodeCache, EvalCache, dataset_token, eval_key
 from .faults import fault_point
 from .noise import NoiseConfig, TRAIN_CONFIG
 from .registry import combined_config, get_noise, worst_case_stack
@@ -75,10 +79,12 @@ logger = logging.getLogger(__name__)
 
 
 class SweepCancelled(RuntimeError):
-    """Raised between cells when the engine's ``should_stop`` hook fires.
+    """Raised between evaluations when the engine's ``should_stop`` hook
+    fires.
 
-    Cancellation is *cooperative and cell-granular*: the check runs before
-    each evaluation (and each shared-mode poll), never inside one, so
+    Cancellation is *cooperative and item-granular*: the check runs before
+    each evaluation — a whole cell, or one (cell × shard) item of a
+    sharded sweep — and each shared-mode poll, never inside one, so
     every entry already in the run ledger is complete and the interrupted
     run resumes exactly like a crashed one — via ledger replay.  This is
     what lets a serving layer cancel a queued-behind job or drain on
@@ -220,13 +226,15 @@ class SweepEngine:
         #: cells evaluate through the adapter's shard pipeline (bounded
         #: memory, per-shard ledger entries, (variant × shard) shared-mode
         #: claims).  ``pipeline_cache`` memoises the calibration slice
-        #: and deployment-model copies — data chunks are never cached.
+        #: and deployment-model copies; decoded data chunks live in a
+        #: per-shard cache that is dropped once the shard's items finish.
         self.shard_size = shard_size
         self.task = task
         self.batch_size = batch_size
         self.pipeline_cache = pipeline_cache
-        #: Zero-arg callable polled between cells; returning True raises
-        #: :class:`SweepCancelled` at the next cell boundary.
+        #: Zero-arg callable polled between cells (and between the shard
+        #: items of a sharded sweep); returning True raises
+        #: :class:`SweepCancelled` at the next such boundary.
         self.should_stop = should_stop
         #: ``mode="shared"``: multiple *processes* sharing one run directory
         #: divide (variant × shard) cells via filesystem leases — see
@@ -421,41 +429,43 @@ class SweepEngine:
                            "without persistence — this run cannot be "
                            "resumed past the entries already on disk", exc)
 
-    def _partials(self, adapter, model, ds, cfg: NoiseConfig, bounds):
+    def _partials(self, adapter, model, ds, cfg: NoiseConfig, bounds,
+                  chunk_cache: DecodeCache | None = None):
         """Shard partials, routed through the test-time mitigation when set.
 
         Test-time mitigations adapt per inference batch and batches are cut
         at global offsets, so the results are identical for any shard split
         at fixed batch geometry — serial, thread and shared sweeps of the
-        same mitigated cell stay bit-identical.
+        same mitigated cell stay bit-identical.  ``chunk_cache`` is where
+        decoded data chunks are memoised (None decodes without caching).
         """
         if self._test_mitigation is not None:
             from .mitigations import mitigation_partials
             return mitigation_partials(
                 self._test_mitigation, adapter, model, ds, cfg, bounds,
-                cache=self.pipeline_cache, batch_size=self.batch_size)
+                cache=self.pipeline_cache, batch_size=self.batch_size,
+                chunk_cache=chunk_cache)
         if self.inference == "plan":
             # The plan predict hook slots into the same per-batch seam as
             # test-time mitigations, so shard layouts stay bit-identical.
             return adapter.evaluate_partials(
                 model, ds, cfg, bounds, cache=self.pipeline_cache,
-                batch_size=self.batch_size,
+                batch_size=self.batch_size, chunk_cache=chunk_cache,
                 predict=self._plan_predictor.bind(model))
         return adapter.evaluate_partials(model, ds, cfg, bounds,
                                          cache=self.pipeline_cache,
-                                         batch_size=self.batch_size)
+                                         batch_size=self.batch_size,
+                                         chunk_cache=chunk_cache)
 
-    def _compute_sharded(self, plan, model, ds, cfg: NoiseConfig,
-                         noise: str | None, lkey) -> float:
-        """One cell through the shard pipeline, shard-granular resume.
+    def _restore(self, adapter, ds, lkey, bounds):
+        """``(accumulator, missing bounds)`` from the ledgered shard states.
 
-        Ledger-complete shards are restored from their accumulator states;
-        only the missing shards are re-executed (and ledgered as they
-        finish), so a crash mid-dataset costs at most one shard.  Merge
-        order is irrelevant — accumulators key their partials by global
-        item index (or sum exact integer counts).
+        Ledger-complete shards are merged from their accumulator states, so
+        only the missing shards are ever re-executed and a crash mid-dataset
+        costs at most the shards in flight.  Merge order is irrelevant —
+        accumulators key their partials by global item index (or sum exact
+        integer counts).
         """
-        adapter, bounds = plan
         acc = adapter.accumulator(ds)
         missing: list[tuple[int, int]] = []
         for start, stop in bounds:
@@ -464,13 +474,124 @@ class SweepEngine:
                 acc.merge(adapter.accumulator(ds).load_state(state))
             else:
                 missing.append((start, stop))
-        if missing:                # fully restored cells skip model prep too
-            for start, stop, part in self._partials(adapter, model, ds, cfg,
-                                                    missing):
-                self._ledger_shard_record(lkey, start, stop, part.state(),
-                                          noise, cfg)
-                acc.merge(part)
-        return acc.value()
+        return acc, missing
+
+    def _run_sharded(self, plan, model, ds, cfgs: list[NoiseConfig],
+                     names: list[str | None], keys: list, lkeys: list,
+                     ) -> list[tuple[float, Exception | None]]:
+        """Cells through the shard pipeline, shard-major: ``(value, error)``
+        per cell; never raises except :class:`SweepCancelled`.
+
+        The cells' pending (cell × shard) items run shard by shard over one
+        ``effective_workers`` pool.  Every item on shard *k* reads its
+        decoded chunk from a decode cache that lives only while shard *k*
+        runs, so the cells decode each (shard, decoder persona) once between
+        them and peak memory stays O(shard × decoder personas).  Each item
+        appends its shard entry as it finishes, and a cell's eval entry is
+        appended once its last shard has merged.  A raising item is retried
+        on the same shard while its cell's ``retries`` budget lasts — the
+        attempt count is one plus the cell's failures, as when each attempt
+        re-ran the cell's missing shards — after which the cell is a
+        structured failure and its later shards are skipped.
+        """
+        adapter, bounds = plan
+        n = len(cfgs)
+        accs, todo = [], {bound: [] for bound in bounds}
+        left = [0] * n
+        for i in range(n):
+            acc, missing = self._restore(adapter, ds, lkeys[i], bounds)
+            accs.append(acc)
+            left[i] = len(missing)
+            for bound in missing:
+                todo[bound].append(i)
+        failures = [0] * n
+        out: list = [None] * n
+
+        def finish(i: int) -> None:
+            value = float(accs[i].value())
+            if keys[i] is not None:
+                self.eval_cache.put(keys[i], value)
+            self._ledger_record(lkeys[i], status="ok", value=value,
+                                noise=names[i], label=cfgs[i].describe(),
+                                attempts=failures[i] + 1)
+            out[i] = (value, None)
+
+        chunk_cache = DecodeCache()         # one shard's decoded chunks
+
+        def run(job) -> Exception | None:
+            """One (cell × shard) item; returns the evaluation's exception
+            (the loop below owns the retry budget)."""
+            i, start, stop = job
+            self._check_cancelled()
+            try:
+                for _s, _e, part in self._partials(adapter, model, ds,
+                                                   cfgs[i], [(start, stop)],
+                                                   chunk_cache):
+                    pass
+            except SweepCancelled:
+                raise
+            except Exception as exc:           # noqa: BLE001 — isolate cell
+                return exc
+            self._ledger_shard_record(lkeys[i], start, stop, part.state(),
+                                      names[i], cfgs[i])
+            accs[i].merge(part)
+            return None
+
+        for i in range(n):
+            if not left[i]:        # fully restored cells skip model prep too
+                finish(i)
+        workers = min(self.effective_workers,
+                      max(len(cells) for cells in todo.values()))
+        pool = ThreadPoolExecutor(workers) if workers > 1 else None
+        try:
+            for (start, stop), cells in todo.items():
+                live = [i for i in cells if out[i] is None]
+                while live:
+                    jobs = [(i, start, stop) for i in live]
+                    errors = list(pool.map(run, jobs) if pool is not None
+                                  else map(run, jobs))
+                    retry = []
+                    for i, exc in zip(live, errors):
+                        if exc is None:
+                            left[i] -= 1
+                            if not left[i]:
+                                finish(i)
+                            continue
+                        failures[i] += 1
+                        logger.warning(
+                            "evaluation failed (attempt %d/%d, %s @%d:%d): "
+                            "%s", failures[i], self.retries + 1,
+                            cfgs[i].describe(), start, stop, exc)
+                        if failures[i] <= self.retries:
+                            retry.append(i)
+                            continue
+                        self._ledger_record(lkeys[i], status="error",
+                                            error=_err_str(exc),
+                                            noise=names[i],
+                                            label=cfgs[i].describe(),
+                                            attempts=self.retries + 1)
+                        out[i] = (float("nan"), exc)
+                    live = retry
+                chunk_cache.clear()        # shard k's chunks die with it
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        return out
+
+    def _lookup(self, key, lkey, cfg: NoiseConfig,
+                noise: str | None) -> float | None:
+        """A completed cell's value from the eval cache or the run ledger."""
+        if key is not None:
+            hit = self.eval_cache.get(key)
+            if hit is not None:
+                # A value cached before the store was attached still honours
+                # the "every completed evaluation is on disk" contract.
+                self._ledger_backfill(lkey, hit, cfg, noise)
+                return hit
+        hit = self._ledger_hit(lkey)
+        if hit is not None and key is not None:
+            self.eval_cache.put(key, hit)
+        return hit
 
     def _eval_one(self, evaluate, model, ds, cfg: NoiseConfig,
                   noise: str | None = None) -> tuple[float, Exception | None]:
@@ -489,17 +610,8 @@ class SweepEngine:
         self._check_cancelled()
         key = self._cache_key(model, ds, cfg)
         lkey = self._ledger_key(model, ds, cfg)
-        if key is not None:
-            hit = self.eval_cache.get(key)
-            if hit is not None:
-                # A value cached before the store was attached still honours
-                # the "every completed evaluation is on disk" contract.
-                self._ledger_backfill(lkey, hit, cfg, noise)
-                return hit, None
-        hit = self._ledger_hit(lkey)
+        hit = self._lookup(key, lkey, cfg, noise)
         if hit is not None:
-            if key is not None:
-                self.eval_cache.put(key, hit)
             return hit, None
         if self.mode == "shared" and lkey is not None:
             # Route even single cells (the baseline above all) through the
@@ -514,17 +626,13 @@ class SweepEngine:
                     self.eval_cache.put(key, values[0])
                 return values[0], None
         plan = self._shard_plan(ds)
+        if plan is not None:
+            return self._run_sharded(plan, model, ds, [cfg], [noise], [key],
+                                     [lkey])[0]
         last: Exception | None = None
         for attempt in range(1, self.retries + 2):
             try:
-                if plan is not None:
-                    # Shard streaming: ledgered shards are skipped inside,
-                    # so a retry after a partial failure re-executes only
-                    # the shards that never completed.
-                    value = float(self._compute_sharded(plan, model, ds,
-                                                        cfg, noise, lkey))
-                else:
-                    value = float(evaluate(model, ds, cfg))
+                value = float(evaluate(model, ds, cfg))
             except Exception as exc:           # noqa: BLE001 — isolate cell
                 last = exc
                 logger.warning(
@@ -578,10 +686,25 @@ class SweepEngine:
             out = self._shared_map(evaluate, model, ds, cfgs, names)
             if out is not None:
                 return out
-        results = self.map(
-            lambda job: self._eval_one(evaluate, model, ds, job[1],
-                                       noise=names[job[0]]),
-            list(enumerate(cfgs)))
+        plan = self._shard_plan(ds)
+        if plan is None:
+            results = self.map(
+                lambda job: self._eval_one(evaluate, model, ds, job[1],
+                                           noise=names[job[0]]),
+                list(enumerate(cfgs)))
+        else:
+            self._check_cancelled()
+            keys = [self._cache_key(model, ds, cfg) for cfg in cfgs]
+            lkeys = [self._ledger_key(model, ds, cfg) for cfg in cfgs]
+            hits = [self._lookup(*cell)
+                    for cell in zip(keys, lkeys, cfgs, names)]
+            pending = [i for i, hit in enumerate(hits) if hit is None]
+            computed = iter(self._run_sharded(
+                plan, model, ds, [cfgs[i] for i in pending],
+                [names[i] for i in pending], [keys[i] for i in pending],
+                [lkeys[i] for i in pending]))
+            results = [(hit, None) if hit is not None else next(computed)
+                       for hit in hits]
         values = [value for value, _ in results]
         errors = {i: _err_str(error)
                   for i, (_, error) in enumerate(results)
@@ -759,8 +882,8 @@ class SweepEngine:
                     self._shared_poison(wq, item, lkey, noise, cfg)
                     return True
                 # Every shard state is on disk — this is a pure merge.
-                value = float(self._compute_sharded(plan, model, ds, cfg,
-                                                    noise, lkey))
+                acc, _ = self._restore(adapter, ds, lkey, bounds)
+                value = float(acc.value())
                 if lease.still_owned():
                     key = self._cache_key(model, ds, cfg)
                     if key is not None:

@@ -150,8 +150,9 @@ class TaskAdapter:
         prepared once per call; each bound is then streamed through the
         task's metric accumulator.  ``cache`` memoises the calibration
         slice and the deployment-model copy; ``chunk_cache`` optionally
-        memoises decoded data chunks (None keeps the stream cache-free,
-        which is what bounds peak memory at one shard); ``chunk_size``
+        memoises decoded data chunks (None keeps the stream cache-free;
+        the sweep engine passes a cache that lives for one shard, which
+        keeps peak memory bounded by the shard); ``chunk_size``
         sub-chunks the decode *within* each bound.  Bit-exact merging
         requires every ``start`` to obey :meth:`stream_align`.
         """

@@ -314,6 +314,7 @@ class _Carrier:
         self.initializers = {"w": np.zeros(nbytes, dtype=np.uint8)}
 
 
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 class TestPreparedCache:
     def setup_method(self):
         clear_prepared_cache()

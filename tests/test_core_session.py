@@ -6,6 +6,7 @@ sweeps it through a BenchmarkSession on the classification adapter.
 """
 
 import gc
+import time
 
 import numpy as np
 import pytest
@@ -108,6 +109,83 @@ class TestDecodeCache:
     def test_maxsize_validated(self):
         with pytest.raises(ValueError):
             DecodeCache(maxsize=0)
+
+    def test_decoded_batches_are_read_only(self):
+        """One cached chunk feeds several concurrent sweep cells: an
+        in-place write must raise, not corrupt a neighbour's pixels."""
+        from repro.core.pipeline import decode_dataset
+        cache = DecodeCache(maxsize=4)
+        out = decode_dataset(self._streams(seed=8), "pil", cache)
+        with pytest.raises(ValueError):
+            out[0, 0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            out += 1
+        assert decode_dataset(self._streams(seed=8), "pil", cache) is out
+
+    def test_concurrent_misses_compute_once(self):
+        import threading
+        cache = DecodeCache(maxsize=4)
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def decode(streams, dec):
+            calls.append(1)
+            started.set()
+            release.wait(5)
+            return np.zeros((len(streams), 2, 2, 3), dtype=np.uint8)
+
+        s = self._streams(seed=9)
+        outs = []
+        first = threading.Thread(
+            target=lambda: outs.append(cache.decode(s, "pil", decode)))
+        first.start()
+        started.wait(5)
+        second = threading.Thread(
+            target=lambda: outs.append(cache.decode(s, "pil", decode)))
+        second.start()
+        time.sleep(0.05)                   # let the second miss wait
+        release.set()
+        first.join(5)
+        second.join(5)
+        assert len(calls) == 1
+        assert len(outs) == 2 and outs[0] is outs[1]
+        assert (cache.misses, cache.hits) == (1, 1)
+
+    def test_waiter_computes_after_failed_flight(self):
+        import threading
+        cache = DecodeCache(maxsize=4)
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def decode(streams, dec):
+            calls.append(1)
+            if len(calls) == 1:
+                started.set()
+                release.wait(5)
+                raise RuntimeError("first decode fails")
+            return np.ones((len(streams), 2, 2, 3), dtype=np.uint8)
+
+        s = self._streams(seed=10)
+        errors, outs = [], []
+
+        def first():
+            try:
+                cache.decode(s, "pil", decode)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        t1 = threading.Thread(target=first)
+        t1.start()
+        started.wait(5)
+        t2 = threading.Thread(
+            target=lambda: outs.append(cache.decode(s, "pil", decode)))
+        t2.start()
+        time.sleep(0.05)                   # let the second miss wait
+        release.set()
+        t1.join(5)
+        t2.join(5)
+        assert len(errors) == 1 and len(calls) == 2
+        assert outs and outs[0].sum() == outs[0].size
 
 
 class TestBenchmarkSession:

@@ -170,10 +170,11 @@ def test_property_random_shard_and_batch_geometry(shard_size, batch):
 # ---------------------------------------------------------------------------
 
 def _session(shard=None, workers=None, mode="thread", store=None,
-             run_id=None, n=40):
+             run_id=None, n=40, noises=("decoder", "resize", "precision"),
+             retries=0):
     s = (BenchmarkSession().task("cls").seed(0).model("mcunet-293kb")
          .data(n=n, native_size=40, input_size=32)
-         .noises("decoder", "resize", "precision")
+         .noises(*noises).retries(retries)
          .batch(8).shards(shard).workers(workers, mode=mode))
     if store is not None:
         s.store(store, run_id=run_id)
@@ -194,6 +195,86 @@ class TestShardedSweeps:
         mono = _session().run().render("parity")
         threaded = _session(shard=8, workers=2, mode="thread").run()
         assert threaded.render("parity") == mono
+
+    def test_shard_major_row_decodes_each_shard_persona_once(self,
+                                                             monkeypatch):
+        """A threaded sharded row shares decoded chunks across its cells:
+        one decode per (shard, decoder persona), byte-identical table."""
+        import repro.core.pipeline as pipeline
+        import repro.core.sweep as sweep_mod
+        from repro.core import streams_digest
+        monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
+        noises = ("decoder", "resize", "color")
+        mono = _session(noises=noises).run().render("parity")
+        serial = _session(shard=8, noises=noises).run().render("parity")
+
+        s = _session(shard=8, workers=2, noises=noises)
+        s.evaluate(TRAIN_CONFIG)           # the baseline, decoded on its own
+        calls = []
+        orig = pipeline._decode_uncached
+
+        def spy(streams, decoder):
+            calls.append((streams_digest(streams), decoder))
+            return orig(streams, decoder)
+
+        monkeypatch.setattr(pipeline, "_decode_uncached", spy)
+        threaded = s.run().render("parity")
+
+        ds = s.eval_data
+        bounds = [(a, min(a + 8, len(ds))) for a in range(0, len(ds), 8)]
+        personas = {TRAIN_CONFIG.decoder, combined_config(noises).decoder}
+        src = get_noise("decoder")
+        personas |= {src.apply(TRAIN_CONFIG, v).decoder
+                     for v in src.variants()}
+        expected = {(streams_digest(ds.streams[a:b]), dec)
+                    for a, b in bounds for dec in personas}
+        assert sorted(calls) == sorted(expected)
+        assert threaded == mono == serial
+
+    @pytest.mark.parametrize("retries", [1, 0])
+    def test_shard_major_retry_budget_is_per_cell(self, tmp_path,
+                                                  monkeypatch, retries):
+        """One (cell, shard) item raises once: a retry budget of one heals
+        the row; without it only that cell fails.  No shard is ledgered
+        twice either way."""
+        import repro.core.sweep as sweep_mod
+        monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
+        noises = ("decoder", "resize", "color")
+        clean = _session(noises=noises).run()
+        bad = 1                            # the second resize variant
+        resize = get_noise("resize")
+        bad_cfg = resize.apply(TRAIN_CONFIG, resize.variants()[bad])
+        s = _session(shard=8, workers=2, noises=noises, store=tmp_path,
+                     run_id=f"r{retries}", retries=retries)
+        adapter = s.adapter
+        orig = type(adapter).evaluate_partials
+        raised = []
+
+        def flaky(self, model, ds, cfg, bounds, **kw):
+            if cfg == bad_cfg and bounds == [(8, 16)] and not raised:
+                raised.append(cfg)
+                raise RuntimeError("injected shard failure")
+            return orig(self, model, ds, cfg, bounds, **kw)
+
+        monkeypatch.setattr(type(adapter), "evaluate_partials", flaky)
+        result = s.run()
+        assert raised == [bad_cfg]
+        if retries:
+            assert result.render("parity") == clean.render("parity")
+        else:
+            for name in noises:
+                got = result.results[name]
+                want = clean.results[name]
+                for i, (g, w) in enumerate(zip(got.values, want.values)):
+                    if name == "resize" and i == bad:
+                        assert np.isnan(g) and i in got.errors
+                    else:
+                        assert g == w
+            assert list(result.results["resize"].errors) == [bad]
+            assert result.baseline == clean.baseline
+        shards = [(e["cfg"], tuple(e["shard"])) for e in s.ledger.entries()
+                  if e.get("kind") == "shard"]
+        assert len(shards) == len(set(shards))
 
     def test_shard_resume_reexecutes_only_missing_shards(self, tmp_path,
                                                          monkeypatch):
@@ -251,7 +332,9 @@ class TestShardedSweeps:
     def test_streamed_sweep_peak_memory_is_shardbound(self):
         """Tracemalloc peak of a streamed row ≤ the decoded-dataset bytes;
         the monolithic row exceeds them (the O(shard) vs O(dataset) gate —
-        the full-size version runs in benchmarks/bench_perf.py)."""
+        the full-size version runs in benchmarks/bench_perf.py).  The
+        three-noise row checks that decoded chunks shared across a row's
+        cells keep the O(shard) bound."""
         import tracemalloc
         from repro.data import make_classification_dataset
         from repro.models import create_model
@@ -262,29 +345,31 @@ class TestShardedSweeps:
         model.eval()
         adapter = get_task("cls")
 
-        def row(shard):
+        def row(shard, noises):
             cache = DecodeCache()
             engine = SweepEngine(eval_cache=EvalCache(), shard_size=shard,
                                  task="cls" if shard else None, batch_size=8,
                                  pipeline_cache=cache)
             ev = lambda m, d, cfg: adapter.evaluate(m, d, cfg, cache=cache,
                                                     batch_size=8)
-            return engine.noise_row(ev, model, ds, ["decoder"],
+            return engine.noise_row(ev, model, ds, noises,
                                     include_combined=False)
 
         decoded_bytes = len(ds) * 64 * 64 * 3 * 8     # float64 pixel batch
-        tracemalloc.start()
-        mono = row(None)
-        mono_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        tracemalloc.start()
-        streamed = row(8)
-        stream_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        for noises in (["decoder"], ["decoder", "resize", "color"]):
+            tracemalloc.start()
+            mono = row(None, noises)
+            mono_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            tracemalloc.start()
+            streamed = row(8, noises)
+            stream_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
 
-        assert streamed["trained"] == mono["trained"]
-        assert (streamed["noises"]["decoder"].values
-                == mono["noises"]["decoder"].values)
-        assert mono_peak > decoded_bytes
-        assert stream_peak < decoded_bytes
-        assert stream_peak * 2 < mono_peak
+            assert streamed["trained"] == mono["trained"]
+            for name in noises:
+                assert (streamed["noises"][name].values
+                        == mono["noises"][name].values)
+            assert mono_peak > decoded_bytes
+            assert stream_peak < decoded_bytes
+            assert stream_peak * 2 < mono_peak

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import im2col, pad2d_const, pool_output_size
+from repro.nn.functional import (im2col, max_pool_windows, pad2d_const,
+                                 pool_output_size)
 
 __all__ = [
     "matmul_accum", "conv2d", "linear", "qconv2d", "qlinear", "requantize",
@@ -272,8 +273,16 @@ def softmax_fast(x: np.ndarray, axis: int = -1) -> np.ndarray:
 # Pooling / resampling
 # ---------------------------------------------------------------------------
 
-def _pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
-            ceil_mode: bool, reduce_fn, pad_value: float) -> np.ndarray:
+def max_pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
+               ceil_mode: bool = False) -> np.ndarray:
+    h, w = x.shape[2:]
+    oh = pool_output_size(h, kernel_size, stride, padding, ceil_mode)
+    ow = pool_output_size(w, kernel_size, stride, padding, ceil_mode)
+    return max_pool_windows(x, kernel_size, stride, padding, oh, ow)
+
+
+def avg_pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
+               ceil_mode: bool = False) -> np.ndarray:
     n, c, h, w = x.shape
     oh = pool_output_size(h, kernel_size, stride, padding, ceil_mode)
     ow = pool_output_size(w, kernel_size, stride, padding, ceil_mode)
@@ -282,21 +291,13 @@ def _pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
     need_w = (ow - 1) * stride + kernel_size
     pad_r = max(need_h - h - padding, padding)
     pad_c = max(need_w - w - padding, padding)
-    xp = pad2d_const(x, padding, pad_r, padding, pad_c, pad_value)
+    xp = pad2d_const(x, padding, pad_r, padding, pad_c, 0.0)
     view = np.lib.stride_tricks.sliding_window_view(
         xp, (kernel_size, kernel_size), axis=(2, 3))
     view = view[:, :, ::stride, ::stride][:, :, :oh, :ow]
-    return reduce_fn(view, axis=(-2, -1))
-
-
-def max_pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
-               ceil_mode: bool = False) -> np.ndarray:
-    return _pool2d(x, kernel_size, stride, padding, ceil_mode, np.max, -np.inf)
-
-
-def avg_pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
-               ceil_mode: bool = False) -> np.ndarray:
-    return _pool2d(x, kernel_size, stride, padding, ceil_mode, np.mean, 0.0)
+    # Summation order depends on the window layout, so avg keeps the
+    # window-axes reduction (a running sum would change the low bits).
+    return np.mean(view, axis=(-2, -1))
 
 
 def global_avg_pool2d(x: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ _INPLACE_OPS = _INPLACE_UNARY | _INPLACE_BINARY | {"fused_elementwise"}
 # Kernel binding
 # ---------------------------------------------------------------------------
 
-def _bind_conv2d(node: Node, inits: dict, dt, ac, inplace: bool):
+def _bind_conv2d(node: Node, inits: dict, dt, ac):
     a = node.attrs
     stride, padding = a["stride"], a["padding"]
     dilation, groups = a["dilation"], a["groups"]
@@ -79,7 +79,7 @@ def _bind_conv2d(node: Node, inits: dict, dt, ac, inplace: bool):
     bias_r = (None if bias is None
               else bias.astype(dt, copy=False).reshape(1, -1, 1, 1))
     k1 = kh == 1 and kw == 1 and groups == 1
-    from repro.nn.functional import _patch_indices, im2col
+    from repro.nn.functional import flat_patch_index, im2col
 
     def _conv_out(size: int, k: int) -> int:
         eff = dilation * (k - 1) + 1
@@ -88,9 +88,9 @@ def _bind_conv2d(node: Node, inits: dict, dt, ac, inplace: bool):
     # Per-input-shape scratch: padded map + column buffer, preallocated once
     # and reused every run (the arena part of the memory plan).  Bit parity
     # requires matching not just the gather's *values* but its memory
-    # *layout* — BLAS rounding depends on operand strides.  im2col's fancy
-    # gather yields a C-contiguous copy for k>1 (the take-gather below
-    # reproduces it exactly) but a (positions, batch, channels)-ordered
+    # *layout* — BLAS rounding depends on operand strides.  im2col's
+    # take-gather yields a C-contiguous array for k>1 (the take into
+    # colsbuf below reproduces it) but a (positions, batch, channels)-ordered
     # transposed view for k==1 (a NumPy advanced-indexing artifact), which
     # the k1 buffer reproduces stride for stride.  Thread-local, because a
     # cached plan is shared by every caller and sweeps run plans from
@@ -116,9 +116,8 @@ def _bind_conv2d(node: Node, inits: dict, dt, ac, inplace: bool):
                 colsbuf = np.empty((oh * ow, n, c), dt)
                 flat = None
             else:
-                rows, cols_i = _patch_indices(h, w_sp, kh, kw, stride,
-                                              dilation, oh, ow)
-                flat = np.ascontiguousarray((rows * wp + cols_i).ravel())
+                flat = flat_patch_index(h, w_sp, kh, kw, stride, dilation,
+                                        oh, ow, wp)
                 colsbuf = np.empty((n, c, flat.size), dt)
             if len(scratch) >= 4:            # bound per-closure scratch
                 scratch.clear()
@@ -128,9 +127,10 @@ def _bind_conv2d(node: Node, inits: dict, dt, ac, inplace: bool):
     def fn(x):
         x = x.astype(dt, copy=False)
         n, c = x.shape[0], x.shape[1]
-        if kh == 1 and kw == 1 and groups > 1:
-            # Rare shape (grouped pointwise): replicate the interpreter's
-            # gather verbatim rather than model its layout.
+        if c == 1 or (kh == 1 and kw == 1 and groups > 1):
+            # Rare shapes (one input channel, grouped pointwise): replicate
+            # the interpreter's gather verbatim rather than model its
+            # strided layout.
             cols, meta = im2col(x, kh, kw, stride, padding, dilation)
             oh, ow = meta[6], meta[7]
             cols = cols.reshape(n, groups, cin_g * kh * kw, oh * ow)
@@ -148,8 +148,10 @@ def _bind_conv2d(node: Node, inits: dict, dt, ac, inplace: bool):
                 colsbuf.reshape(oh, ow, n, c)[:] = sel.transpose(2, 3, 0, 1)
                 cols = colsbuf.transpose(1, 2, 0)    # interpreter's k==1 view
             else:
+                # mode="clip": every index is in range by construction, and
+                # the default mode="raise" makes take buffer its out=.
                 np.take(src.reshape(n, c, hp * wp), flat, axis=2,
-                        out=colsbuf)
+                        out=colsbuf, mode="clip")
                 cols = colsbuf.reshape(n, groups, cin_g * kh * kw, oh * ow)
         if groups == 1:
             cols2 = cols if k1 else cols[:, 0]
@@ -207,75 +209,29 @@ def _gemm_dtype(codes: np.ndarray, axes: tuple) -> type:
     return np.float32 if bound < 2.0 ** 24 else np.float64
 
 
-def _bind_qdepthwise(w_codes: np.ndarray, a: dict, gemm_dt) -> "callable":
-    """Depthwise integer conv as direct tap accumulation.
+def _bind_qconv2d(node: Node, inits: dict):
+    """Integer fast-path conv: an exact integer GEMM on weight *codes*,
+    then an in-place requant.
 
-    A depthwise kernel is kh*kw multiply-adds per output element; im2col +
-    batched 1xk GEMMs (the float path's layout-parity-preserving route)
-    spends more time gathering than multiplying.  Because the integer
-    accumulation is *exact*, summation order is free — so the taps are
-    accumulated directly over strided views of the padded map, which is
-    both allocation-light and BLAS-free.  Only legal for q-ops: the float
-    path must keep the interpreter's GEMM order to stay bit-identical.
+    The accumulation is exact integer arithmetic (see ops.qconv2d), so
+    neither summation order nor operand strides can change a bit — unlike
+    the float path, which must reproduce the interpreter's gather layout.
+    A pointwise conv therefore runs its GEMM straight on the contiguous
+    input (no strided k1 copy), and every other conv, depthwise included,
+    one batched per-group GEMM over :func:`im2col`'s take-gather.  For the
+    same reason the GEMM may run in float32 whenever :func:`_gemm_dtype`
+    proves the accumulator fits.
     """
-    stride, padding = a["stride"], a["padding"]
-    dilation = a["dilation"]
-    cout, _, kh, kw = w_codes.shape
-    taps = w_codes.reshape(cout, kh, kw)
-
-    def conv(xs):
-        n, c, h, w_sp = xs.shape
-        oh = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
-        ow = (w_sp + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
-        if padding:
-            xp = np.zeros((n, c, h + 2 * padding, w_sp + 2 * padding),
-                          gemm_dt)
-            xp[:, :, padding:padding + h, padding:padding + w_sp] = xs
-        else:
-            xp = xs
-        acc = None
-        tmp = None
-        for ki in range(kh):
-            for kj in range(kw):
-                view = xp[:, :,
-                          ki * dilation:ki * dilation
-                          + (oh - 1) * stride + 1:stride,
-                          kj * dilation:kj * dilation
-                          + (ow - 1) * stride + 1:stride]
-                wt = taps[:, ki, kj].reshape(1, -1, 1, 1)
-                if acc is None:
-                    acc = view * wt
-                    tmp = np.empty_like(acc)
-                else:
-                    np.multiply(view, wt, out=tmp)
-                    acc += tmp
-        return acc
-
-    return conv
-
-
-def _bind_qconv2d(node: Node, inits: dict, inplace: bool):
-    """Integer fast-path conv: the scratch-buffered conv machinery running
-    on weight *codes*, then an in-place requant.
-
-    The accumulation is exact integer arithmetic (see ops.qconv2d), so the
-    layout/scratch differences vs the interpreter's naive im2col cannot
-    change a single bit — which is what lets this binding go fast without
-    a parity-matching contortion.  For the same reason the GEMM may run in
-    float32 whenever :func:`_gemm_dtype` proves the accumulator fits.
-    """
+    from repro.nn.functional import im2col
     a = node.attrs
+    stride, padding = a["stride"], a["padding"]
+    dilation, groups = a["dilation"], a["groups"]
     gemm_dt = _gemm_dtype(inits[node.inputs[1]], (1, 2, 3))
     w_codes = inits[node.inputs[1]].astype(gemm_dt)
     cout, cin_g, kh, kw = w_codes.shape
-    if cin_g == 1 and a["groups"] == cout:
-        conv = _bind_qdepthwise(w_codes, a, gemm_dt)
-    else:
-        conv_node = Node("conv2d", node.inputs[:2], node.output,
-                         {k: a[k] for k in ("stride", "padding", "dilation",
-                                            "groups")}, node.name)
-        conv = _bind_conv2d(conv_node, {node.inputs[1]: w_codes},
-                            gemm_dt, None, inplace)
+    wg = w_codes.reshape(groups, cout // groups, cin_g * kh * kw)
+    pointwise = (kh == kw == 1 and stride == 1 and padding == 0
+                 and groups == 1)
     m_r = ops.requant_scale(inits[node.inputs[2]], x_scale=a["x_scale"],
                             y_scale=a["y_scale"]).reshape(1, -1, 1, 1)
     bias = inits[node.inputs[3]] if len(node.inputs) > 3 else None
@@ -290,10 +246,19 @@ def _bind_qconv2d(node: Node, inits: dict, inplace: bool):
         xs = x.astype(gemm_dt, copy=False)
         if x_zp:
             xs = xs - gemm_dt(x_zp)
+        n, c, h, w_sp = xs.shape
+        if pointwise:
+            acc = np.matmul(wg[0], xs.reshape(n, c, h * w_sp))
+            acc = acc.reshape(n, cout, h, w_sp)
+        else:
+            cols, meta = im2col(xs, kh, kw, stride, padding, dilation)
+            oh, ow = meta[6], meta[7]
+            acc = np.matmul(wg, cols.reshape(n, groups, cin_g * kh * kw,
+                                             oh * ow))
+            acc = acc.reshape(n, cout, oh, ow)
         # Mixed-dtype multiply: the f32 accumulator promotes to f64 exactly
         # inside the ufunc, so one pass both converts and scales — bits
         # match the interpreter's all-float64 kernel.
-        acc = conv(xs)
         out = np.multiply(acc, m_r)
         if bias_r is not None:
             np.add(out, bias_r, out=out)
@@ -515,11 +480,11 @@ def _bind_node(node: Node, inits: dict, opts, inplace: bool):
     dt = np.float64 if opts is None else opts.np_dtype
     ac = None if opts is None else opts.accum_chunk
     if node.op == "conv2d":
-        return _bind_conv2d(node, inits, dt, ac, inplace)
+        return _bind_conv2d(node, inits, dt, ac)
     if node.op == "linear":
         return _bind_linear(node, inits, dt, ac)
     if node.op == "qconv2d":
-        return _bind_qconv2d(node, inits, inplace)
+        return _bind_qconv2d(node, inits)
     if node.op == "qlinear":
         return _bind_qlinear(node, inits)
     if node.op == "batchnorm":

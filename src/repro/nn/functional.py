@@ -72,6 +72,7 @@ def pad2d_const(x: np.ndarray, top: int, bottom: int, left: int, right: int,
 
 
 _PATCH_INDEX_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_FLAT_INDEX_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _patch_indices(h: int, w: int, kh: int, kw: int, stride: int, dilation: int,
@@ -96,10 +97,38 @@ def _patch_indices(h: int, w: int, kh: int, kw: int, stride: int, dilation: int,
     return rows, cols
 
 
+def flat_patch_index(h: int, w: int, kh: int, kw: int, stride: int,
+                     dilation: int, oh: int, ow: int, wp: int) -> np.ndarray:
+    """:func:`_patch_indices` flattened into a padded map of width ``wp``.
+
+    A 1-D (kh*kw*oh*ow,) index for ``np.take`` over the (H*W) axis, cached
+    per geometry like the grids it is built from.  Read-only.
+    """
+    key = (h, w, kh, kw, stride, dilation, oh, ow, wp)
+    hit = _FLAT_INDEX_CACHE.get(key)
+    if hit is not None:
+        return hit
+    rows, cols = _patch_indices(h, w, kh, kw, stride, dilation, oh, ow)
+    flat = np.ascontiguousarray((rows * wp + cols).ravel())
+    if len(_FLAT_INDEX_CACHE) < 512:
+        _FLAT_INDEX_CACHE[key] = flat
+    return flat
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
            dilation: int = 1, pad_value: float = 0.0,
            out_hw: tuple[int, int] | None = None) -> tuple[np.ndarray, tuple]:
-    """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW)."""
+    """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW).
+
+    The column matrix feeds a GEMM whose rounding depends on operand
+    strides, so the layout is part of the contract.  When ``kh*kw == 1`` or
+    ``C == 1`` the result is a strided view of the advanced-indexing gather
+    (memory order kernel position, output position, N, C — a NumPy
+    artifact that ``backend/plan.py``'s k1 buffer reproduces).  Otherwise
+    it is C-contiguous, written directly by one ``np.take`` over the
+    flattened padded map: the same array the advanced-indexing gather
+    would reach only through a slow strided reshape-copy.
+    """
     n, c, h, w = x.shape
     if out_hw is None:
         oh = _conv_out_size(h, kh, stride, pad, dilation)
@@ -112,20 +141,39 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
     pad_b = max(0, need_h - (h + pad))
     pad_r = max(0, need_w - (w + pad))
     xp = pad2d_const(x, pad, pad_b, pad, pad_r, pad_value)
-    rows, cols = _patch_indices(h, w, kh, kw, stride, dilation, oh, ow)
-    patches = xp[:, :, rows, cols]              # (N, C, kh*kw, OH*OW)
-    cols_out = patches.reshape(n, c * kh * kw, oh * ow)
+    if kh * kw == 1 or c == 1:
+        rows, cols = _patch_indices(h, w, kh, kw, stride, dilation, oh, ow)
+        patches = xp[:, :, rows, cols]          # (N, C, kh*kw, OH*OW)
+        cols_out = patches.reshape(n, c * kh * kw, oh * ow)
+    else:
+        hp, wp = xp.shape[2], xp.shape[3]
+        flat = flat_patch_index(h, w, kh, kw, stride, dilation, oh, ow, wp)
+        # Every index is in range by construction; "clip" skips the check.
+        cols_out = np.take(xp.reshape(n, c, hp * wp), flat, axis=2,
+                           mode="clip").reshape(n, c * kh * kw, oh * ow)
     meta = (x.shape, kh, kw, stride, pad, dilation, oh, ow, pad_b, pad_r)
     return cols_out, meta
 
 
 def col2im(cols: np.ndarray, meta: tuple) -> np.ndarray:
-    """Fold columns back into an image, summing overlaps (im2col adjoint)."""
+    """Fold columns back into an image, summing overlaps (im2col adjoint).
+
+    One strided slice-add per kernel position, in (i, j) order: every
+    pixel accumulates its overlapping taps in kernel-position order onto
+    a zero map — the same sums, in the same order, as ``np.add.at`` over
+    the patch grids.
+    """
     (n, c, h, w), kh, kw, stride, pad, dilation, oh, ow, pad_b, pad_r = meta
     xp = np.zeros((n, c, h + pad + pad_b, w + pad + pad_r), dtype=cols.dtype)
-    rows, rcols = _patch_indices(h, w, kh, kw, stride, dilation, oh, ow)
-    patches = cols.reshape(n, c, kh * kw, oh * ow)
-    np.add.at(xp, (slice(None), slice(None), rows, rcols), patches)
+    patches = cols.reshape(n, c, kh, kw, oh, ow)
+    span_h = (oh - 1) * stride + 1
+    span_w = (ow - 1) * stride + 1
+    for i in range(kh):
+        r = i * dilation
+        for j in range(kw):
+            q = j * dilation
+            xp[:, :, r:r + span_h:stride, q:q + span_w:stride] += \
+                patches[:, :, i, j]
     return xp[:, :, pad:pad + h, pad:pad + w]
 
 
@@ -220,22 +268,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 # Pooling
 # ---------------------------------------------------------------------------
 
-def _pool_windows(x: np.ndarray, k: int, stride: int, padding: int,
-                  oh: int, ow: int, pad_value: float) -> np.ndarray:
-    """Strided (N, C, OH, OW, k, k) window view over the padded map.
+def max_pool_windows(x: np.ndarray, k: int, stride: int, padding: int,
+                     oh: int, ow: int) -> np.ndarray:
+    """Max over every (k, k) pooling window of ``x``, ``-inf``-padded.
 
-    The inference-path counterpart of the im2col gather: same window
-    contents in the same order, but a zero-copy ``sliding_window_view``
-    instead of a fancy-indexing copy.
+    A running ``np.maximum`` over the k² strided tap views of the padded
+    map: max is order-free, so this equals a reduction over the window
+    axes (NaNs propagate either way) without its per-window overhead.
+    Shared by :func:`max_pool2d`'s inference path and
+    :func:`repro.backend.ops.max_pool2d`.
     """
-    n, c, h, w = x.shape
-    need_h = (oh - 1) * stride + k
-    need_w = (ow - 1) * stride + k
-    pad_b = max(0, need_h - (h + padding))
-    pad_r = max(0, need_w - (w + padding))
-    xp = pad2d_const(x, padding, pad_b, padding, pad_r, pad_value)
-    view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return view[:, :, ::stride, ::stride][:, :, :oh, :ow]
+    h, w = x.shape[2:]
+    span_h = (oh - 1) * stride + 1
+    span_w = (ow - 1) * stride + 1
+    pad_b = max(0, span_h + k - 1 - (h + padding))
+    pad_r = max(0, span_w + k - 1 - (w + padding))
+    xp = pad2d_const(x, padding, pad_b, padding, pad_r, -np.inf)
+    out = xp[:, :, :span_h:stride, :span_w:stride].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(out, xp[:, :, i:i + span_h:stride,
+                                   j:j + span_w:stride], out=out)
+    return out
 
 
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
@@ -253,12 +308,10 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
     oh = pool_output_size(h, kernel_size, stride, padding, ceil_mode)
     ow = pool_output_size(w, kernel_size, stride, padding, ceil_mode)
     if not is_grad_enabled():
-        # Inference fast path: reduce over a strided window view — the max
-        # of the same window contents, without materialising columns or an
-        # argmax (only the backward needs one).
-        view = _pool_windows(x.data, kernel_size, stride, padding, oh, ow,
-                             -np.inf)
-        return Tensor(view.max(axis=(-2, -1)))
+        # Inference fast path: the max of the same window contents, without
+        # materialising columns or an argmax (only the backward needs one).
+        return Tensor(max_pool_windows(x.data, kernel_size, stride, padding,
+                                       oh, ow))
     cols, meta = im2col(x.data, kernel_size, kernel_size, stride, padding,
                         pad_value=-np.inf, out_hw=(oh, ow))
     cols = cols.reshape(n, c, kernel_size * kernel_size, oh * ow)

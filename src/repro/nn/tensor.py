@@ -324,10 +324,18 @@ class Tensor:
 
     def __getitem__(self, idx) -> "Tensor":
         data = self.data[idx]
+        # Basic indices select each element at most once, so a slice-add is
+        # the same ``0 + g`` as ``np.add.at``; only array indices can repeat.
+        basic = all(isinstance(i, (int, np.integer, slice, type(None)))
+                    or i is Ellipsis
+                    for i in (idx if isinstance(idx, tuple) else (idx,)))
 
         def backward(g):
             out = np.zeros_like(self.data)
-            np.add.at(out, idx, g)
+            if basic:
+                out[idx] += g
+            else:
+                np.add.at(out, idx, g)
             return (out,)
 
         return self._make(data, (self,), backward)
